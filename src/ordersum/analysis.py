@@ -10,7 +10,7 @@ the library's long-running searches care about:
     order (rare but real; the smallest has order 3887),
   * violations of the two proved facts that every order-sum is odd and at
     least 2*order - 1 (impossible unless the formulas are broken, so the
-    sweep wrappers turn them into hard assertion failures).
+    sweep wrappers raise SoundnessError on them).
 
 Long sweeps persist progress in a small JSON checkpoint.  Checkpoints are
 written atomically (temp file + rename), carry a format version that is
@@ -24,16 +24,18 @@ are merged in block order, so worker count never changes any output.
 import json
 import os
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import combinations
 from math import prod
-from multiprocessing import get_context
 
 from .arith import is_prime, smallest_prime_factors
 from .partitions import Partition, partitions_of
 from .psi_core import (
     _psi_prime_power,
+    _shapes_of,  # the enumerator's shape cache, still importable from here
     format_components,
+    group_type_of_order,
+    iter_type_components,
+    psi_abelian,
     psi_cyclic,
     psi_elem_abelian,
 )
@@ -45,6 +47,7 @@ __all__ = [
     "DivisibleRecord",
     "ImageReport",
     "MonotonicityReport",
+    "SoundnessError",
     "SweepCheckpoint",
     "SweepOutcome",
     "conjecture_sweep",
@@ -54,6 +57,7 @@ __all__ = [
     "monotonicity_check",
     "save_checkpoint",
     "scan_orders",
+    "write_json_atomic",
 ]
 
 CHECKPOINT_VERSION = 1
@@ -104,6 +108,14 @@ class DivisibleRecord:
 
 class CheckpointError(RuntimeError):
     """Checkpoint file is missing, malformed, or inconsistent with the run."""
+
+
+class SoundnessError(RuntimeError):
+    """A sweep saw an order-sum that a proved fact rules out.
+
+    Every order-sum is odd and at least 2 * order - 1, so a violation means
+    the formulas themselves are broken, not that something was discovered.
+    """
 
 
 def _get_int(obj: dict, key: str) -> int:
@@ -179,13 +191,22 @@ class SweepCheckpoint:
         )
 
 
-def save_checkpoint(checkpoint: SweepCheckpoint, path: str) -> None:
-    """Write a checkpoint atomically: temp file in place, then rename."""
+def write_json_atomic(record: dict, path: str) -> None:
+    """Write a JSON object to a file atomically: temp file in place, then rename.
+
+    Sorted keys, two-space indent and a final newline, so equal records
+    give equal bytes.  Checkpoints and sweep report files both go here.
+    """
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(checkpoint.to_json_obj(), fh, indent=2, sort_keys=True)
+        json.dump(record, fh, indent=2, sort_keys=True)
         fh.write("\n")
     os.replace(tmp, path)
+
+
+def save_checkpoint(checkpoint: SweepCheckpoint, path: str) -> None:
+    """Write a checkpoint atomically (write_json_atomic)."""
+    write_json_atomic(checkpoint.to_json_obj(), path)
 
 
 def load_checkpoint(path: str) -> SweepCheckpoint:
@@ -220,56 +241,41 @@ class SweepOutcome:
         self.five_orders.extend(other.five_orders)
 
 
-@lru_cache(maxsize=None)
-def _shapes_of(e: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(s.parts) for s in partitions_of(e))
-
-
-def _iter_type_combos(n: int, spf: list[int]):
-    """Yield each abelian type of order n as ((p, parts), ...) pairs."""
-    if n == 1:
-        yield ()
-        return
-    pairs: list[tuple[int, int]] = []
-    while n > 1:
-        p = spf[n]
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        pairs.append((p, e))
-    combos = [()]
-    for p, e in pairs:
-        combos = [c + ((p, parts),) for c in combos for parts in _shapes_of(e)]
-    yield from combos
-
-
 def _scan_range(start: int, stop: int, spf: list[int]) -> SweepOutcome:
-    """Scan every order in [start, stop] with all detectors on."""
+    """Scan every order in [start, stop] with all detectors on.
+
+    Spec labels are formatted only for the records kept.
+    """
     out = SweepOutcome()
     for n in range(start, stop + 1):
-        rows: list[tuple[str, int]] = []
-        for combo in _iter_type_combos(n, spf):
-            value = prod(_psi_prime_power(p, parts) for p, parts in combo)
-            spec = format_components(combo)
-            rows.append((spec, value))
+        primes = []
+        m = n
+        while m > 1:
+            primes.append(spf[m])
+            m //= spf[m]
+        combos = list(iter_type_components(
+            [(p, primes.count(p)) for p in dict.fromkeys(primes)]))
+        values = [prod(_psi_prime_power(p, parts) for p, parts in combo)
+                  for combo in combos]
+        out.types_scanned += len(values)
+        for combo, value in zip(combos, values):
             if value % 2 == 0:
-                out.odd_violations.append((n, spec, value))
+                out.odd_violations.append((n, format_components(combo), value))
             if value < 2 * n - 1:
-                out.bound_violations.append((n, spec, value))
+                out.bound_violations.append((n, format_components(combo), value))
             if value == 5:
                 out.five_orders.append(n)
             if n >= 2 and value % n == 0:
                 out.divisible_hits.append(
-                    DivisibleRecord(n, spec, value, value // n))
-        out.types_scanned += len(rows)
-        if len(rows) > 1:
-            by_value: dict[int, list[str]] = {}
-            for spec, value in rows:
-                by_value.setdefault(value, []).append(spec)
-            for value, specs in by_value.items():
-                for a, b in combinations(specs, 2):
-                    out.collisions.append(CollisionRecord(n, a, b, value))
+                    DivisibleRecord(n, format_components(combo), value, value // n))
+        if len(set(values)) < len(values):
+            by_value: dict[int, list[tuple]] = {}
+            for combo, value in zip(combos, values):
+                by_value.setdefault(value, []).append(combo)
+            for value, group in by_value.items():
+                for a, b in combinations(group, 2):
+                    out.collisions.append(CollisionRecord(
+                        n, format_components(a), format_components(b), value))
     return out
 
 
@@ -295,6 +301,7 @@ def _iter_block_outcomes(start: int, stop: int, workers: int, block_size: int):
         for b in blocks:
             yield b[1], _scan_block(b)
     else:
+        from multiprocessing import get_context
         ctx = get_context("fork")
         with ctx.Pool(workers) as pool:
             for b, outcome in zip(blocks, pool.imap(_scan_block, blocks)):
@@ -321,11 +328,14 @@ def scan_orders(start: int, stop: int, *, workers: int = 1,
 def _require_sound(outcome: SweepOutcome) -> None:
     # Odd / lower-bound violations cannot occur for correct formulas; any
     # appearance means the computation itself is broken, so fail loudly
-    # rather than record them as findings.
-    assert not outcome.odd_violations, (
-        f"internal error: even order-sum recorded: {outcome.odd_violations[:3]}")
-    assert not outcome.bound_violations, (
-        f"internal error: order-sum below 2n-1 recorded: {outcome.bound_violations[:3]}")
+    # rather than record them as findings.  A raise, not an assert, so the
+    # check also runs under python -O.
+    if outcome.odd_violations:
+        raise SoundnessError(
+            f"even order-sum recorded: {outcome.odd_violations[:3]}")
+    if outcome.bound_violations:
+        raise SoundnessError(
+            f"order-sum below 2n-1 recorded: {outcome.bound_violations[:3]}")
 
 
 def conjecture_sweep(start: int, stop: int,
@@ -402,12 +412,8 @@ def image_probe(max_order: int, *, workers: int = 1) -> ImageReport:
     if max_order < 1:
         raise ValueError(f"max_order must be >= 1, got {max_order}")
     outcome = scan_orders(1, max_order, workers=workers)
-    spf_small = smallest_prime_factors(3)
-    small = sorted({
-        prod(_psi_prime_power(p, parts) for p, parts in combo)
-        for n in range(1, min(3, max_order) + 1)
-        for combo in _iter_type_combos(n, spf_small)
-    })
+    small = sorted({psi_abelian(t) for n in range(1, min(3, max_order) + 1)
+                    for t in group_type_of_order(n)})
     all_odd = not outcome.odd_violations
     bound_holds = not outcome.bound_violations
     five_orders = tuple(outcome.five_orders)

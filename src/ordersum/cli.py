@@ -11,8 +11,9 @@ Subcommands:
 
 Exit codes: 0 no anomaly, 1 anomaly found (collision, divisibility hit,
 monotonicity violation, verify mismatch), 2 usage or input error, 3
-internal assertion failure.  Large group-theoretic values appear in JSON
-output as exact decimal strings so nothing is ever rounded.
+internal error (a soundness check, exact division or assertion failed).
+Large group-theoretic values appear in JSON output as exact decimal
+strings so nothing is ever rounded.
 """
 
 import argparse
@@ -21,14 +22,16 @@ import os
 import sys
 from time import perf_counter
 
-from .arith import ExactDivisionError, is_prime
+from .arith import ExactDivisionError, exact_div, is_prime
 from .analysis import (
     CheckpointError,
+    SoundnessError,
     SweepCheckpoint,
     conjecture_sweep,
     image_probe,
     load_checkpoint,
     monotonicity_check,
+    write_json_atomic,
 )
 from .oracle import (
     DEFAULT_ENUM_CAP,
@@ -237,7 +240,8 @@ def cmd_relative(args) -> int:
     value = psi_relative(moduli, subgroup, max_enum=args.max_enum)
     elapsed = _elapsed_ms(t0)
     sub_order = len(subgroup)
-    quotient, remainder = divmod(value, sub_order)
+    # psi_rel(G, H) = |H| * psi(G/H), so this division is always exact.
+    average = exact_div(value, sub_order)
     record = {
         "command": "relative",
         "group": format_group_spec(group),
@@ -245,6 +249,7 @@ def cmd_relative(args) -> int:
         "generators": [list(g) for g in gens],
         "subgroup_order": str(sub_order),
         "psi_relative": str(value),
+        "per_coset_average": str(average),
         "method": "bruteforce",
         "elapsed_ms": elapsed,
     }
@@ -254,10 +259,8 @@ def cmd_relative(args) -> int:
         f"subgroup: {sub_order} element(s) from {len(gens)} generator(s)",
         f"psi_relative: {value}",
         f"method: bruteforce ({elapsed} ms)",
+        f"per-coset average: {average} (division exact)",
     ]
-    if remainder == 0:
-        record["per_coset_average"] = str(quotient)
-        lines.append(f"per-coset average: {quotient} (division exact)")
     _emit(args, record, lines)
     return EXIT_OK
 
@@ -266,15 +269,6 @@ def _reject(args, kind: str, **flags) -> None:
     for name, value in flags.items():
         if value:
             raise UsageError(f"--{name} does not apply to the {kind} sweep")
-
-
-def _write_report(path: str, record: dict) -> None:
-    """Write a sweep's JSON record to a file, atomically."""
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(record, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    os.replace(tmp, path)
 
 
 def _sweep_counting(args) -> int:
@@ -392,7 +386,7 @@ def _sweep_image(args) -> int:
         report.explanation,
     ]
     if args.checkpoint is not None:
-        _write_report(args.checkpoint, record)
+        write_json_atomic(record, args.checkpoint)
         lines.append(f"report written to {args.checkpoint}")
     _emit(args, record, lines)
     return EXIT_ANOMALY if anomaly else EXIT_OK
@@ -437,7 +431,7 @@ def _sweep_monotonicity(args) -> int:
     for a, b in report.violations:
         lines.append(f"  violation: psi({a}) >= psi({b})")
     if args.checkpoint is not None:
-        _write_report(args.checkpoint, record)
+        write_json_atomic(record, args.checkpoint)
         lines.append(f"report written to {args.checkpoint}")
     _emit(args, record, lines)
     return EXIT_OK if report.ok else EXIT_ANOMALY
@@ -519,15 +513,25 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else EXIT_USAGE
+    # Order-sums can run to any number of digits, and all of them print
+    # as exact decimals; the interpreter's int-to-str limit is lifted for
+    # the command only (Python before 3.10.7 has no limit).
+    limit = None
+    if hasattr(sys, "get_int_max_str_digits"):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
     try:
         return args.handler(args)
     except (UsageError, GroupSpecError, CheckpointError,
             EnumerationCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (AssertionError, ExactDivisionError) as exc:
+    except (SoundnessError, AssertionError, ExactDivisionError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 def entry() -> None:

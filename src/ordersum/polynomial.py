@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from .arith import ExactDivisionError
 from .partitions import Partition
+from .psi_core import band_schedule
 
 __all__ = [
     "ClosedFormCheck",
@@ -141,20 +142,23 @@ _X = IntPoly((0, 1))
 def psi_symbolic(shape: Partition) -> IntPoly:
     """Order-sum of the p-group of the given shape, as a polynomial in p.
 
-    Uses the division-free subtraction form: x^{2 a_k + a_{k-1} + ... + a_1}
-    minus (x - 1) times the tail sum of x^{2 alpha} * f(alpha), where
-    f(alpha) is the reduced solution count of f_eval, itself a monomial in
-    x.  The result is monic of that degree, has constant coefficient 1,
-    and all coefficients in {-1, 0, 1}.
+    The band sum of band_schedule read in Z[x]: x^D - (x - 1) T(x), where
+    the tail T has a coefficient 1 at each exponent slope * alpha + offset
+    of every band.  Those exponents rise by at least 2 per step of alpha,
+    so the +1 of T at e and the -1 of -x T at e + 1 never land on the same
+    coefficient, and each band is written as two strided slices of one
+    coefficient list.  No division is needed.  The result is monic of
+    degree D, has constant coefficient 1, and all coefficients in
+    {-1, 0, 1}.
     """
-    parts = shape.parts
-    a_k = parts[-1]
-    degree = 2 * a_k + sum(parts[:-1])
-    tail = IntPoly()
-    for alpha in range(a_k):
-        exp = 2 * alpha + sum(min(alpha, a) for a in parts) - min(alpha, a_k)
-        tail = tail + IntPoly.monomial(exp)
-    return IntPoly.monomial(degree) - (_X - _ONE) * tail
+    degree, bands = band_schedule(shape.parts)
+    coeffs = [0] * (degree + 1)
+    coeffs[degree] = 1
+    for lo, length, slope, offset in bands:
+        first, stop = slope * lo + offset, slope * (lo + length) + offset
+        coeffs[first:stop:slope] = [1] * length
+        coeffs[first + 1:stop + 1:slope] = [-1] * length
+    return IntPoly(coeffs)
 
 
 def _geometric(n: int) -> IntPoly:

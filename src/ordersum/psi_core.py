@@ -8,15 +8,25 @@ prime-power types.
 
 A p-group type is a prime p together with a partition (a_1 <= ... <= a_k):
 the group Z_{p^{a_1}} x ... x Z_{p^{a_k}}.  For such a group the number of
-elements of order dividing p^t is p^{sum_i min(t, a_i)}, which is all this
-module needs: psi comes out as a short exact sum over t (psi_p), or
-equivalently as one large power of p minus a weighted tail (psi_p_alt).
-Both routes use only integer arithmetic; every division performed by the
-closed forms below is provably exact and is checked at runtime.
+elements of order dividing p^t is p^{sum_i min(t, a_i)}, and psi is one
+large power of p minus a weighted tail:
+
+    psi = p^D - (p - 1) * sum_{alpha=0}^{a_k - 1} p^{2 alpha} f(alpha),
+
+with D = 2 a_k + a_1 + ... + a_{k-1} and f as in f_eval.  On each band
+a_j <= alpha < a_{j+1} (a_0 = 0) the tail exponent is linear in alpha,
+(k + 1 - j) alpha + a_1 + ... + a_j, so the band contributes one
+geometric sum.  band_schedule lists the bands, and every production route
+(_psi_prime_power here, psi_symbolic in the polynomial module) is built
+from that one list: psi costs O(k) big-int powers whatever the size of
+the parts.  psi_p_alt keeps the literal per-alpha sum as an independent
+reference.  Only integer arithmetic is used; every division performed by
+the closed forms below is provably exact and is checked at runtime.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate, product
 from math import prod
 
 from .arith import exact_div, factorize, is_prime
@@ -26,10 +36,12 @@ __all__ = [
     "AbelianGroupType",
     "GroupSpecError",
     "PGroupType",
+    "band_schedule",
     "component_moduli",
     "f_eval",
     "format_group_spec",
     "group_type_of_order",
+    "iter_type_components",
     "parse_group_spec",
     "psi_abelian",
     "psi_cyclic",
@@ -96,21 +108,39 @@ def f_eval(shape: Partition, p: int, alpha: int) -> int:
     return p ** (sum(min(alpha, a) for a in parts) - min(alpha, parts[-1]))
 
 
+def band_schedule(
+        parts: tuple[int, ...]) -> tuple[int, list[tuple[int, int, int, int]]]:
+    """Exponent schedule of the order-sum of the p-group with ascending parts.
+
+    Returns (D, bands).  D = 2 a_k + a_1 + ... + a_{k-1} is the degree of
+    the leading power p^D.  Each band (lo, length, slope, offset) covers
+    a_j <= alpha < a_{j+1} (a_0 = 0; empty bands of repeated parts are
+    left out): lo = a_j, length = a_{j+1} - a_j, slope = k + 1 - j and
+    offset = a_1 + ... + a_j, so the tail term p^{2 alpha} f(alpha) is
+    p^{slope * alpha + offset} there.  The bands cover 0 <= alpha < a_k
+    in order, and the tail exponents rise by at least 2 per step of alpha.
+    """
+    k = len(parts)
+    bands = [(lo, a - lo, k + 1 - j, offset) for j, (lo, a, offset)
+             in enumerate(zip((0,) + parts, parts, accumulate(parts, initial=0)))
+             if a > lo]
+    return parts[-1] + sum(parts), bands
+
+
 @lru_cache(maxsize=None)
 def _psi_prime_power(p: int, parts: tuple[int, ...]) -> int:
     """psi for the p-group with ascending part tuple `parts`.
 
-    Splits the elements by exact order p^alpha: there are
-    p^{2 alpha} f(alpha) - p^{2 alpha - 1} f(alpha - 1) elements of order
-    exactly p^alpha (with f as in f_eval), each contributing p^alpha.
+    The band sum p^D - (p - 1) * sum over bands of
+    p^{slope * lo + offset} (p^{slope * length} - 1) / (p^slope - 1),
+    with the bands of band_schedule.  Each geometric-sum division is exact
+    (x^s - 1 divides x^{s m} - 1) and is checked by exact_div.
     """
-    a_k = parts[-1]
-    total = 1
-    for alpha in range(1, a_k + 1):
-        f_here = p ** (sum(min(alpha, a) for a in parts) - min(alpha, a_k))
-        f_prev = p ** (sum(min(alpha - 1, a) for a in parts) - min(alpha - 1, a_k))
-        total += p ** (2 * alpha) * f_here - p ** (2 * alpha - 1) * f_prev
-    return total
+    degree, bands = band_schedule(parts)
+    tail = sum(p ** (slope * lo + offset)
+               * exact_div(p ** (slope * length) - 1, p ** slope - 1)
+               for lo, length, slope, offset in bands)
+    return p ** degree - (p - 1) * tail
 
 
 def psi_p(group: PGroupType) -> int:
@@ -122,8 +152,9 @@ def psi_p_alt(group: PGroupType) -> int:
     """Same value as psi_p via the subtraction form.
 
     Writes psi as p^{2 a_k + a_{k-1} + ... + a_1} minus
-    (p - 1) * sum_{alpha=0}^{a_k - 1} p^{2 alpha} f(alpha).  Division-free,
-    which also makes it the template for the symbolic polynomial route.
+    (p - 1) * sum_{alpha=0}^{a_k - 1} p^{2 alpha} f(alpha), term by term.
+    Division-free and independent of band_schedule: the per-alpha
+    reference the band-sum routes are checked against.
     """
     p = group.p
     parts = group.shape.parts
@@ -211,24 +242,34 @@ def component_moduli(group: AbelianGroupType) -> tuple[int, ...]:
     return tuple(c.p ** a for c in group.components for a in c.shape.parts)
 
 
-def group_type_of_order(n: int) -> list[AbelianGroupType]:
-    """All abelian group types of order n.
+@lru_cache(maxsize=None)
+def _shapes_of(e: int) -> tuple[tuple[int, ...], ...]:
+    """Part tuples of every partition of e, in enumeration order."""
+    return tuple(s.parts for s in partitions_of(e))
 
-    One type per choice of partition of each prime exponent of n; for
-    n == 1 the single trivial type.  Types are ordered by the partition
-    enumeration order applied to each prime in turn.
+
+def iter_type_components(factorization):
+    """Yield every abelian type of one order as ((p, parts), ...) tuples.
+
+    `factorization` is the order's (prime, exponent) pairs, primes
+    increasing; the empty factorization yields the trivial type ().  One
+    type per choice of partition of each exponent, ordered by the
+    partition enumeration order applied to each prime in turn (the last
+    prime varies fastest).
     """
+    return product(*[[(p, parts) for parts in _shapes_of(e)]
+                     for p, e in factorization])
+
+
+def group_type_of_order(n: int) -> list[AbelianGroupType]:
+    """All abelian group types of order n, in iter_type_components order."""
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
-    per_prime: list[list[PGroupType]] = [
-        [PGroupType(p, shape) for shape in partitions_of(e)]
-        for p, e in factorize(n)
-    ]
-    types = [AbelianGroupType(())]
-    for options in per_prime:
-        types = [AbelianGroupType(t.components + (c,))
-                 for t in types for c in options]
-    return types
+    factorization = factorize(n)
+    components = {(p, parts): PGroupType(p, Partition(parts))
+                  for p, e in factorization for parts in _shapes_of(e)}
+    return [AbelianGroupType(tuple(components[c] for c in combo))
+            for combo in iter_type_components(factorization)]
 
 
 # group spec grammar

@@ -8,6 +8,9 @@ oracles the library is judged against, so none of them may share code with
 the implementation under test.
 """
 
+import os
+import subprocess
+import sys
 from functools import lru_cache
 from itertools import product
 from math import gcd, lcm, prod
@@ -177,3 +180,15 @@ class GroupTable:
                 m += 1
             table[a] = m
         return table
+
+
+def run_python(code: str, *flags: str):
+    """Run `code` in a fresh interpreter that imports this checkout's ordersum."""
+    import ordersum
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ordersum.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *flags, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)

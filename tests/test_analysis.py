@@ -20,6 +20,7 @@ from ordersum.analysis import (
 )
 from ordersum.partitions import partitions_of
 from ordersum.psi_core import group_type_of_order, psi_abelian
+from support import run_python
 
 
 def test_monotonicity_chain_n4_p2():
@@ -291,3 +292,20 @@ def test_partition_shapes_cached_correctly():
     for e in range(1, 18):
         assert _shapes_of(e) == tuple(
             tuple(s.parts) for s in partitions_of(e))
+
+
+def test_soundness_check_survives_optimize():
+    # Under python -O an assert would be stripped and a forged even
+    # order-sum would pass the sweep silently.
+    code = (
+        "import sys\n"
+        "import ordersum.analysis as analysis\n"
+        "analysis._psi_prime_power = lambda p, parts: 2 * p ** (2 * sum(parts))\n"
+        "try:\n"
+        "    analysis.conjecture_sweep(2, 10)\n"
+        "except analysis.SoundnessError as exc:\n"
+        "    print(sys.flags.optimize, exc)\n"
+    )
+    proc = run_python(code, "-O")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("1 even order-sum recorded: [(2, '2', 8)")

@@ -1,13 +1,17 @@
 """End-to-end tests of the command line, driven through main(argv)."""
 
 import json
+import sys
 
 import pytest
 
+import ordersum.analysis as analysis
 import ordersum.cli as cli
 from ordersum.arith import ExactDivisionError
 from ordersum.analysis import CHECKPOINT_VERSION
-from ordersum.psi_core import group_type_of_order, parse_group_spec, psi_abelian
+from ordersum.psi_core import (group_type_of_order, parse_group_spec,
+                               psi_abelian, psi_p_alt)
+from support import run_python
 
 
 def run(capsys, *argv):
@@ -434,3 +438,43 @@ def test_sweep_workers_do_not_change_output(capsys):
                               "--workers", "3")
     assert code1 == code3 == 0
     assert scrub(rec1) == scrub(rec3)
+
+
+def test_compute_prints_order_sums_past_digit_limit(capsys):
+    # psi has about 8500 decimal digits, past the interpreter's default
+    # int-to-str limit of 4300; main lifts the limit for the command only.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    spec = "1000003^[10,200,500]"
+    code, record, err = run_json(capsys, "compute", spec)
+    assert (code, err) == (0, "")
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+    expected = 1
+    for c in parse_group_spec(spec).components:
+        expected *= psi_p_alt(c)
+    text = record["psi"]
+    value = 0
+    for i in range(0, len(text), 1000):  # int() of chunks under the limit
+        value = value * 10 ** len(text[i:i + 1000]) + int(text[i:i + 1000])
+    assert value == expected
+
+
+def test_soundness_error_is_internal(capsys, monkeypatch):
+    monkeypatch.setattr(analysis, "_psi_prime_power", lambda p, parts: 2 * p ** 4)
+    code, out, err = run(capsys, "sweep", "conjecture", "--to", "10")
+    assert code == 3
+    assert err.startswith("internal error: even order-sum recorded")
+
+
+def test_relative_inexact_average_is_internal(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "psi_relative", lambda moduli, sub, max_enum: 7)
+    code, out, err = run(capsys, "relative", "2^[2]", "--gen", "2")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal error:")
+
+
+def test_cli_import_leaves_multiprocessing_unloaded():
+    proc = run_python("import sys, ordersum.cli\n"
+                      "print('multiprocessing' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -5,14 +5,17 @@ import pytest
 from ordersum.arith import exact_div
 from ordersum.oracle import psi_bruteforce
 from ordersum.partitions import Partition, partitions_of
+from ordersum.polynomial import psi_symbolic
 from ordersum.psi_core import (
     AbelianGroupType,
     GroupSpecError,
     PGroupType,
+    band_schedule,
     component_moduli,
     f_eval,
     format_group_spec,
     group_type_of_order,
+    iter_type_components,
     parse_group_spec,
     psi_abelian,
     psi_cyclic,
@@ -301,3 +304,42 @@ def test_parse_error_message_carries_offset():
         parse_group_spec("3*2")
     assert "offset 2" in str(info.value)
     assert info.value.offset == 2
+
+
+def test_band_schedule_matches_piecewise_f():
+    # Every tail term p^{2 alpha} f(alpha) is p^{slope * alpha + offset}
+    # on its band, and the bands cover 0 <= alpha < a_k once, in order.
+    p = 3
+    for n in range(1, 11):
+        for shape in partitions_of(n):
+            parts = shape.parts
+            degree, bands = band_schedule(parts)
+            assert degree == 2 * parts[-1] + sum(parts[:-1])
+            alphas = [lo + i for lo, length, _, _ in bands for i in range(length)]
+            assert alphas == list(range(parts[-1])), parts
+            for lo, length, slope, offset in bands:
+                for alpha in range(lo, lo + length):
+                    assert (p ** (slope * alpha + offset)
+                            == p ** (2 * alpha) * f_piecewise(parts, p, alpha))
+    # The empty band between repeated parts is left out.
+    assert band_schedule((2, 2, 5)) == (14, [(0, 2, 4, 0), (2, 3, 2, 4)])
+
+
+@pytest.mark.parametrize("parts", [(10, 200, 500), (3, 50, 300, 700),
+                                   (1, 1, 5, 5, 5, 40), (700,)])
+def test_band_sum_on_deep_and_repeated_shapes(parts):
+    poly = psi_symbolic(Partition(parts))
+    for p in (2, 3, 1000003):
+        g = pg(p, *parts)
+        assert psi_p(g) == psi_p_alt(g) == poly(p)
+
+
+def test_iter_type_components_is_the_group_type_order():
+    from ordersum.arith import factorize
+    for n in (1, 72, 144, 3887):
+        combos = list(iter_type_components(factorize(n)))
+        assert [tuple((c.p, c.shape.parts) for c in t.components)
+                for t in group_type_of_order(n)] == combos
+    # Each p-group component is built once and shared by the types using it.
+    types = group_type_of_order(144)
+    assert types[0].components[1] is types[2].components[1]
