@@ -16,16 +16,20 @@ Long sweeps persist progress in a small JSON checkpoint.  Checkpoints are
 written atomically (temp file + rename), carry a format version that is
 checked before anything else, and record the largest fully-scanned order,
 so a resumed sweep continues exactly where the file says and the final
-state is byte-identical to an uninterrupted run.  Worker parallelism
-splits the range into fixed blocks handled by forked processes; results
-are merged in block order, so worker count never changes any output.
+state is byte-identical to an uninterrupted run.  The range is split into
+fixed blocks, and each block factors its own orders with a segmented sieve
+over the primes up to the square root of its last order, so memory is per
+block and does not grow with the range.  Worker parallelism hands blocks to
+forked processes; a task is just the block's two bounds, so workers inherit
+no shared state.  Results are merged in block order, so worker count never
+changes any output.
 """
 
 import json
 import os
 from dataclasses import dataclass, field
 from itertools import combinations
-from math import prod
+from math import isqrt, prod
 
 from .arith import is_prime, smallest_prime_factors
 from .partitions import Partition, partitions_of
@@ -241,20 +245,38 @@ class SweepOutcome:
         self.five_orders.extend(other.five_orders)
 
 
-def _scan_range(start: int, stop: int, spf: list[int]) -> SweepOutcome:
+def _factor_block(start: int, stop: int) -> list[list[tuple[int, int]]]:
+    """Sorted (prime, exponent) pairs of every n in [start, stop], in order.
+
+    A segmented sieve: each prime up to isqrt(stop) is divided out of the
+    block's residues.  A cofactor left above 1 has no prime factor up to
+    isqrt(stop), so it is itself prime.
+    """
+    spf = smallest_prime_factors(isqrt(stop))
+    primes = [p for p in range(2, len(spf)) if spf[p] == p]
+    residues = list(range(start, stop + 1))
+    factors: list[list[tuple[int, int]]] = [[] for _ in residues]
+    for p in primes:
+        for i in range(-start % p, len(residues), p):
+            e = 0
+            while residues[i] % p == 0:
+                residues[i] //= p
+                e += 1
+            factors[i].append((p, e))
+    return [pairs + [(r, 1)] if r > 1 else pairs
+            for r, pairs in zip(residues, factors)]
+
+
+def _scan_range(bounds: tuple[int, int]) -> SweepOutcome:
     """Scan every order in [start, stop] with all detectors on.
 
-    Spec labels are formatted only for the records kept.
+    A pure function of its bounds, so it is also the pool task.  Spec
+    labels are formatted only for the records kept.
     """
+    start, stop = bounds
     out = SweepOutcome()
-    for n in range(start, stop + 1):
-        primes = []
-        m = n
-        while m > 1:
-            primes.append(spf[m])
-            m //= spf[m]
-        combos = list(iter_type_components(
-            [(p, primes.count(p)) for p in dict.fromkeys(primes)]))
+    for n, factorization in enumerate(_factor_block(start, stop), start):
+        combos = list(iter_type_components(factorization))
         values = [prod(_psi_prime_power(p, parts) for p, parts in combo)
                   for combo in combos]
         out.types_scanned += len(values)
@@ -279,32 +301,20 @@ def _scan_range(start: int, stop: int, spf: list[int]) -> SweepOutcome:
     return out
 
 
-# Worker state for forked pools: children inherit this module-level sieve,
-# so nothing large travels through the task queue.
-_WORKER_SPF: list[int] | None = None
-
-
-def _scan_block(bounds: tuple[int, int]) -> SweepOutcome:
-    start, stop = bounds
-    return _scan_range(start, stop, _WORKER_SPF)
-
-
 def _iter_block_outcomes(start: int, stop: int, workers: int, block_size: int):
     """Yield (last_order_of_block, SweepOutcome) in ascending block order."""
-    global _WORKER_SPF
     if start > stop:
         return
-    _WORKER_SPF = smallest_prime_factors(stop)
     blocks = [(a, min(a + block_size - 1, stop))
               for a in range(start, stop + 1, block_size)]
     if workers <= 1:
         for b in blocks:
-            yield b[1], _scan_block(b)
+            yield b[1], _scan_range(b)
     else:
         from multiprocessing import get_context
         ctx = get_context("fork")
         with ctx.Pool(workers) as pool:
-            for b, outcome in zip(blocks, pool.imap(_scan_block, blocks)):
+            for b, outcome in zip(blocks, pool.imap(_scan_range, blocks)):
                 yield b[1], outcome
 
 

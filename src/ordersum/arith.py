@@ -82,9 +82,10 @@ def factorize(n: int) -> list[tuple[int, int]]:
 def smallest_prime_factors(limit: int) -> list[int]:
     """Sieve of smallest prime factors for 0..limit inclusive.
 
-    spf[n] is the least prime dividing n (spf[0] == spf[1] == 0).  Lets a
-    sweep factor every n <= limit in O(log n) after O(limit log log limit)
-    setup.
+    spf[n] is the least prime dividing n (spf[0] == spf[1] == 0), so the
+    primes up to limit are the n >= 2 with spf[n] == n.  A sweep block
+    ending at stop takes its sieving primes, those up to isqrt(stop), from
+    here.
     """
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")

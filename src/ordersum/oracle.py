@@ -117,6 +117,17 @@ def subgroup_closure(moduli, generators, *,
     return frozenset(seen)
 
 
+def _walk(ms: tuple[int, ...], subgroup, e: tuple[int, ...]) -> int:
+    # The definition itself: add e to itself until the multiple lands in
+    # the subgroup.  It stops by m = ord(e), where the identity is reached.
+    current = e
+    m = 1
+    while current not in subgroup:
+        current = tuple((x + y) % mod for x, y, mod in zip(current, e, ms))
+        m += 1
+    return m
+
+
 def relative_order(moduli, subgroup, element) -> int:
     """Smallest m >= 1 with m * element inside the subgroup.
 
@@ -130,12 +141,7 @@ def relative_order(moduli, subgroup, element) -> int:
     identity = (0,) * len(ms)
     if identity not in subgroup:
         raise ValueError("subgroup does not contain the identity")
-    current = e
-    m = 1
-    while current not in subgroup:
-        current = tuple((x + y) % mod for x, y, mod in zip(current, e, ms))
-        m += 1
-    return m
+    return _walk(ms, subgroup, e)
 
 
 def psi_relative(moduli, subgroup, *, max_enum: int = DEFAULT_ENUM_CAP) -> int:
@@ -152,12 +158,5 @@ def psi_relative(moduli, subgroup, *, max_enum: int = DEFAULT_ENUM_CAP) -> int:
     identity = (0,) * len(ms)
     if identity not in subgroup:
         raise ValueError("subgroup does not contain the identity")
-    total = 0
-    for e in product(*(range(m) for m in ms)):
-        current = e
-        m = 1
-        while current not in subgroup:
-            current = tuple((x + y) % mod for x, y, mod in zip(current, e, ms))
-            m += 1
-        total += m
-    return total
+    return sum(_walk(ms, subgroup, e)
+               for e in product(*(range(m) for m in ms)))

@@ -1,6 +1,7 @@
 """Tests for sweeps, checkpoints, and the chain/image reports."""
 
 import json
+import tracemalloc
 
 import pytest
 
@@ -18,6 +19,7 @@ from ordersum.analysis import (
     save_checkpoint,
     scan_orders,
 )
+from ordersum.arith import factorize
 from ordersum.partitions import partitions_of
 from ordersum.psi_core import group_type_of_order, psi_abelian
 from support import run_python
@@ -79,6 +81,33 @@ def test_scan_orders_workers_equivalence():
     assert serial.types_scanned == parallel.types_scanned
     assert serial.collisions == parallel.collisions
     assert serial.divisible_hits == parallel.divisible_hits
+
+
+@pytest.mark.parametrize("start, stop", [
+    (1, 50),  # n = 1 has the empty factorization: the trivial type
+    (1009 ** 2 - 999, 1009 ** 2),  # stop = 1009^2: the prime isqrt(stop) is sieved
+    (1009 ** 2, 1009 ** 2 + 999),
+    (10 ** 7 + 1, 10 ** 7 + 1000),
+])
+def test_factor_block_matches_factorize(start, stop):
+    from ordersum.analysis import _factor_block
+    expected = [factorize(n) if n > 1 else [] for n in range(start, stop + 1)]
+    assert _factor_block(start, stop) == expected
+
+
+def test_scan_orders_memory_does_not_grow_with_stop():
+    # Each block factors its own orders, so sweep memory is per block and
+    # does not grow with stop.
+    start, stop = 10 ** 7, 10 ** 7 + 999
+    tracemalloc.start()
+    try:
+        outcome = scan_orders(start, stop)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
+    assert outcome.types_scanned == sum(
+        len(group_type_of_order(n)) for n in range(start, stop + 1))
 
 
 def test_conjecture_sweep_single_order():
