@@ -2,8 +2,9 @@
 
 Everything here works on an explicit presentation of a finite abelian
 group as Z_{m_1} x ... x Z_{m_r} (component moduli, addition mod each
-modulus) and computes by walking elements.  It is deliberately independent
-of the formula modules: no partitions, no p-group types, no closed forms.
+modulus) and computes by visiting every element.  It is deliberately
+independent of the formula modules: no partitions, no p-group types, no
+closed forms.
 The formula side is tested against this module, never the other way round.
 
 Enumerations are guarded by an element-count cap (default 2**20) so a typo
@@ -65,6 +66,16 @@ def group_order(moduli) -> int:
     return prod(_check_moduli(moduli))
 
 
+def _orders(ms: tuple[int, ...], residues):
+    # Additive orders of the elements of the product of the residue lists,
+    # in itertools.product order.  In Z_m the residue r has order
+    # m / gcd(m, r), and the order in a direct product is the lcm over
+    # components; each residue's gcd is taken once, so an element costs one
+    # lcm.
+    tables = [[m // gcd(m, r) for r in rs] for m, rs in zip(ms, residues)]
+    return starmap(lcm, product(*tables))
+
+
 def element_order(moduli, element) -> int:
     """Additive order of an element: lcm of the per-component orders.
 
@@ -73,7 +84,7 @@ def element_order(moduli, element) -> int:
     """
     ms = _check_moduli(moduli)
     e = _check_element(ms, element)
-    return lcm(*(m // gcd(m, r) for m, r in zip(ms, e)))
+    return next(_orders(ms, ([r] for r in e)))
 
 
 def psi_bruteforce(moduli, *, max_enum: int = DEFAULT_ENUM_CAP) -> int:
@@ -86,8 +97,7 @@ def psi_bruteforce(moduli, *, max_enum: int = DEFAULT_ENUM_CAP) -> int:
     size = prod(ms)
     if size > max_enum:
         raise EnumerationCapError(size, max_enum)
-    tables = [[m // gcd(m, r) for r in range(m)] for m in ms]
-    return sum(starmap(lcm, product(*tables)))
+    return sum(_orders(ms, map(range, ms)))
 
 
 def subgroup_closure(moduli, generators, *,
@@ -117,39 +127,68 @@ def subgroup_closure(moduli, generators, *,
     return frozenset(seen)
 
 
-def _walk(ms: tuple[int, ...], subgroup, e: tuple[int, ...]) -> int:
-    # The definition itself: add e to itself until the multiple lands in
-    # the subgroup.  It stops by m = ord(e), where the identity is reached.
-    current = e
-    m = 1
-    while current not in subgroup:
-        current = tuple((x + y) % mod for x, y, mod in zip(current, e, ms))
-        m += 1
+def _prime_divisors(n: int) -> list[int]:
+    # Distinct primes of n >= 1, ascending, by trial division.
+    primes = []
+    q = 2
+    while q * q <= n:
+        if n % q == 0:
+            primes.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1
+    if n > 1:
+        primes.append(n)
+    return primes
+
+
+def _descend(ms: tuple[int, ...], subgroup, e: tuple[int, ...], order: int,
+             primes) -> int:
+    # Least m >= 1 with m * e in the subgroup, given order = ord(e).  The m
+    # with m * e in H are the multiples of that least one, d, so d | m holds
+    # throughout: d still divides m / q exactly when (m / q) * e is in H,
+    # and once that fails m and d agree at q, which later primes leave
+    # alone.  A prime not dividing m is passed over, so `primes` may be any
+    # superset of the primes of ord(e).
+    m = order
+    for q in primes:
+        while m % q == 0:
+            k = m // q
+            if tuple([k * x % mod for x, mod in zip(e, ms)]) not in subgroup:
+                break
+            m = k
     return m
 
 
 def relative_order(moduli, subgroup, element) -> int:
     """Smallest m >= 1 with m * element inside the subgroup.
 
-    The subgroup is any set of element tuples containing the identity;
-    membership is plain set lookup.  The scan is a deliberate linear walk
-    m = 1, 2, ...: it terminates by m = element_order(element) because at
-    that multiple the identity is reached.
+    The subgroup must be closed under addition, as subgroup_closure
+    returns, not just any set of tuples holding the identity; membership
+    is plain set lookup.  For a subgroup H the m with m * element in H are
+    exactly the multiples of the relative order, and element_order(element)
+    is one of them.  So the search starts at the element order and divides
+    out one prime at a time while the multiple stays in H: at most
+    Omega(ord) + omega(ord) lookups, the primes of the element order
+    counted with and without multiplicity.
     """
     ms = _check_moduli(moduli)
     e = _check_element(ms, element)
     identity = (0,) * len(ms)
     if identity not in subgroup:
         raise ValueError("subgroup does not contain the identity")
-    return _walk(ms, subgroup, e)
+    order = element_order(ms, e)
+    return _descend(ms, subgroup, e, order, _prime_divisors(order))
 
 
 def psi_relative(moduli, subgroup, *, max_enum: int = DEFAULT_ENUM_CAP) -> int:
     """Sum over the whole group of the order of each element relative to
     the subgroup.
 
-    With the trivial subgroup this equals psi_bruteforce; with the whole
-    group it equals the group order.
+    Every element is visited and its relative order found as in
+    relative_order, so the subgroup must be closed under addition.  With
+    the trivial subgroup this equals psi_bruteforce; with the whole group
+    it equals the group order.
     """
     ms = _check_moduli(moduli)
     size = prod(ms)
@@ -158,5 +197,7 @@ def psi_relative(moduli, subgroup, *, max_enum: int = DEFAULT_ENUM_CAP) -> int:
     identity = (0,) * len(ms)
     if identity not in subgroup:
         raise ValueError("subgroup does not contain the identity")
-    return sum(_walk(ms, subgroup, e)
-               for e in product(*(range(m) for m in ms)))
+    primes = _prime_divisors(lcm(*ms))
+    ranges = [range(m) for m in ms]
+    return sum(_descend(ms, subgroup, e, order, primes)
+               for e, order in zip(product(*ranges), _orders(ms, ranges)))

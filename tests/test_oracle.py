@@ -19,6 +19,7 @@ from ordersum.psi_core import (
     psi_abelian,
 )
 from support import (
+    GroupTable,
     order_by_repeated_addition,
     psi_by_definition,
     type_of_factors,
@@ -214,3 +215,43 @@ def test_direct_factor_identity():
                     (format_group_spec(g), chosen)
                 checked += 1
     assert checked > 10000
+
+
+def _relative_order_by_walk(moduli, subgroup, elem):
+    # m = 1, 2, ... until m * elem lands in the subgroup
+    current = elem
+    m = 1
+    while current not in subgroup:
+        current = tuple((x + y) % k for x, y, k in zip(current, elem, moduli))
+        m += 1
+    return m
+
+
+@pytest.mark.parametrize("moduli", [(12, 30), (8, 9, 5)])
+def test_relative_order_matches_linear_walk(moduli):
+    # element orders here have several primes, some squared, so the
+    # descent from ord(g) strips more than one prime and more than one
+    # power of a prime
+    table = GroupTable(moduli)
+    subgroups = 0
+    for ids, _gens in table.two_generated_subgroups():
+        h = frozenset(table.elements[i] for i in ids)
+        for elem in table.elements:
+            assert relative_order(moduli, h, elem) == \
+                _relative_order_by_walk(moduli, h, elem), (moduli, elem)
+        subgroups += 1
+    assert subgroups > 10
+
+
+def test_psi_relative_trivial_subgroup_large_group():
+    moduli = (4, 27, 25)
+    assert psi_relative(moduli, frozenset({(0, 0, 0)})) == \
+        psi_bruteforce(moduli)
+
+
+def test_psi_relative_direct_factor_large_group():
+    # <(2,0,0)> is the order-2 subgroup of Z_4; the quotient is
+    # Z_2 x Z_27 x Z_25
+    moduli = (4, 27, 25)
+    h = subgroup_closure(moduli, [(2, 0, 0)])
+    assert psi_relative(moduli, h) == 2 * psi_bruteforce((2, 27, 25))
