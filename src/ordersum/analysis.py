@@ -307,6 +307,8 @@ def _iter_block_outcomes(start: int, stop: int, workers: int, block_size: int):
         return
     blocks = [(a, min(a + block_size - 1, stop))
               for a in range(start, stop + 1, block_size)]
+    # A worker beyond one per block would have nothing to scan.
+    workers = min(workers, len(blocks))
     if workers <= 1:
         for b in blocks:
             yield b[1], _scan_range(b)

@@ -3,11 +3,23 @@
 Subcommands:
 
   compute SPEC      order-sum of one group, optionally brute-force checked
+                    (--verify, --max-enum)
   list N            every abelian group type of order N with its order-sum
   poly SHAPE        the order-sum polynomial of a p-group shape, in x = p
-  relative SPEC     order-sum relative to a generated subgroup
-  sweep KIND        range scans: conjecture | divisibility | image |
-                    monotonicity
+  relative SPEC     order-sum relative to a generated subgroup (--gen,
+                    repeatable; --max-enum)
+  sweep KIND        range scans, one subcommand per kind:
+    conjecture, divisibility
+                    --to N (required), --from N (default 2), --workers N,
+                    --checkpoint PATH (progress file), --resume
+    image           --to N (required), --workers N, --checkpoint PATH
+                    (report file)
+    monotonicity    --n N and --p P (both required), --checkpoint PATH
+                    (report file)
+
+Every command takes --json.  Each sweep kind accepts only its own flags;
+argparse rejects any other, and range checks on flag values (--from >= 2,
+--workers >= 1, --p prime, ...) happen while parsing.
 
 Exit codes: 0 no anomaly, 1 anomaly found (collision, divisibility hit,
 monotonicity violation, verify mismatch), 2 usage or input error, 3
@@ -20,6 +32,7 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
 from time import perf_counter
 
 from .arith import ExactDivisionError, exact_div, is_prime
@@ -117,8 +130,6 @@ def cmd_compute(args) -> int:
 
 
 def cmd_list(args) -> int:
-    if args.order < 1:
-        raise UsageError(f"order must be >= 1, got {args.order}")
     t0 = perf_counter()
     types = group_type_of_order(args.order)
     rows = [{"group": format_group_spec(t), "psi": str(psi_abelian(t)),
@@ -193,27 +204,10 @@ def cmd_poly(args) -> int:
 def cmd_relative(args) -> int:
     group = parse_group_spec(args.spec)
     moduli = component_moduli(group)
-    if not moduli:
-        if args.gen:
-            raise UsageError(
-                "the trivial group has no cyclic factors, so no generators "
-                "can be given")
-        record = {
-            "command": "relative",
-            "group": "1",
-            "order": "1",
-            "generators": [],
-            "subgroup_order": "1",
-            "psi_relative": "1",
-            "per_coset_average": "1",
-            "method": "bruteforce",
-            "elapsed_ms": 0.0,
-        }
-        _emit(args, record, ["group: 1", "order: 1",
-                             "subgroup: 1 element(s) from 0 generator(s)",
-                             "psi_relative: 1",
-                             "per-coset average: 1 (division exact)"])
-        return EXIT_OK
+    if args.gen and not moduli:
+        raise UsageError(
+            "the trivial group has no cyclic factors, so no generators "
+            "can be given")
     gens = []
     for gi, text in enumerate(args.gen or [], 1):
         residues = []
@@ -236,8 +230,13 @@ def cmd_relative(args) -> int:
                     f"generator {gi}, component {ci}: residue {r} "
                     f"not in [0, {m})")
     t0 = perf_counter()
-    subgroup = subgroup_closure(moduli, gens, max_enum=args.max_enum)
-    value = psi_relative(moduli, subgroup, max_enum=args.max_enum)
+    if moduli:
+        subgroup = subgroup_closure(moduli, gens, max_enum=args.max_enum)
+        value = psi_relative(moduli, subgroup, max_enum=args.max_enum)
+    else:
+        # The trivial group has no cyclic factors to enumerate; its only
+        # element is the identity, of relative order 1.
+        subgroup, value = {()}, 1
     elapsed = _elapsed_ms(t0)
     sub_order = len(subgroup)
     # psi_rel(G, H) = |H| * psi(G/H), so this division is always exact.
@@ -265,23 +264,8 @@ def cmd_relative(args) -> int:
     return EXIT_OK
 
 
-def _reject(args, kind: str, **flags) -> None:
-    for name, value in flags.items():
-        if value:
-            raise UsageError(f"--{name} does not apply to the {kind} sweep")
-
-
 def _sweep_counting(args) -> int:
-    kind = args.kind
-    _reject(args, kind, n=args.n is not None, p=args.p is not None)
-    if args.to is None:
-        raise UsageError(f"the {kind} sweep requires --to")
-    start = args.from_ if args.from_ is not None else 2
-    workers = args.workers if args.workers is not None else 1
-    if workers < 1:
-        raise UsageError(f"--workers must be >= 1, got {workers}")
-    if start < 2:
-        raise UsageError(f"--from must be >= 2, got {start}")
+    kind, start, workers = args.kind, args.from_, args.workers
     if args.to < start:
         raise UsageError(f"need --from <= --to, got [{start}, {args.to}]")
     path = args.checkpoint
@@ -345,19 +329,8 @@ def _sweep_counting(args) -> int:
 
 
 def _sweep_image(args) -> int:
-    _reject(args, "image",
-            n=args.n is not None, p=args.p is not None, resume=args.resume)
-    if args.from_ is not None:
-        raise UsageError("the image sweep always starts at order 1; drop --from")
-    if args.to is None:
-        raise UsageError("the image sweep requires --to")
-    if args.to < 1:
-        raise UsageError(f"--to must be >= 1, got {args.to}")
-    workers = args.workers if args.workers is not None else 1
-    if workers < 1:
-        raise UsageError(f"--workers must be >= 1, got {workers}")
     t0 = perf_counter()
-    report = image_probe(args.to, workers=workers)
+    report = image_probe(args.to, workers=args.workers)
     elapsed = _elapsed_ms(t0)
     anomaly = (bool(report.five_orders) or not report.all_odd
                or not report.bound_holds)
@@ -365,7 +338,7 @@ def _sweep_image(args) -> int:
         "command": "sweep",
         "kind": "image",
         "to": report.max_order,
-        "workers": workers,
+        "workers": args.workers,
         "types_scanned": report.types_scanned,
         "values_up_to_3": [str(v) for v in report.values_up_to_3],
         "all_odd": report.all_odd,
@@ -393,17 +366,6 @@ def _sweep_image(args) -> int:
 
 
 def _sweep_monotonicity(args) -> int:
-    _reject(args, "monotonicity",
-            resume=args.resume, workers=args.workers is not None)
-    if args.from_ is not None or args.to is not None:
-        raise UsageError(
-            "the monotonicity sweep takes --n and --p, not --from/--to")
-    if args.n is None or args.p is None:
-        raise UsageError("the monotonicity sweep requires --n and --p")
-    if args.n < 1:
-        raise UsageError(f"--n must be >= 1, got {args.n}")
-    if not is_prime(args.p):
-        raise UsageError(f"--p must be prime, got {args.p}")
     t0 = perf_counter()
     report = monotonicity_check(args.n, args.p)
     elapsed = _elapsed_ms(t0)
@@ -437,15 +399,47 @@ def _sweep_monotonicity(args) -> int:
     return EXIT_OK if report.ok else EXIT_ANOMALY
 
 
-def cmd_sweep(args) -> int:
-    if args.kind in ("conjecture", "divisibility"):
-        return _sweep_counting(args)
-    if args.kind == "image":
-        return _sweep_image(args)
-    return _sweep_monotonicity(args)
+def _int_type(ok, what: str):
+    # An argparse type= callable: an integer for which ok(value) holds.
+    # Its error message becomes argparse's "argument --flag: ..." line.
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+        return value
+    return parse
 
 
+_POSITIVE = _int_type(lambda n: n >= 1, "an integer >= 1")
+_ORDER_FROM = _int_type(lambda n: n >= 2, "an integer >= 2")
+_PRIME = _int_type(is_prime, "a prime")
+
+
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ordersum argument parser, built once per process.
+
+    Parsing leaves no state in the parser, so every main() call shares
+    this one; building it costs more than most commands do.
+    """
+    json_flag = argparse.ArgumentParser(add_help=False)
+    json_flag.add_argument("--json", action="store_true",
+                           help="machine-readable output")
+    enum_cap = argparse.ArgumentParser(add_help=False)
+    enum_cap.add_argument("--max-enum", type=int, default=DEFAULT_ENUM_CAP,
+                          help="largest group to enumerate "
+                               "(default %(default)s)")
+    workers = argparse.ArgumentParser(add_help=False)
+    workers.add_argument("--workers", type=_POSITIVE, default=1, metavar="N",
+                         help="worker processes (default 1); the output "
+                              "does not depend on it")
+    report = argparse.ArgumentParser(add_help=False)
+    report.add_argument("--checkpoint", metavar="PATH",
+                        help="also write the JSON report to this file")
+
     parser = argparse.ArgumentParser(
         prog="ordersum",
         description="Exact order-sums of finite abelian groups.")
@@ -453,63 +447,68 @@ def build_parser() -> argparse.ArgumentParser:
 
     spec_help = "group spec, e.g. 2^[1,2]*3, 5, or 1 for the trivial group"
 
-    c = sub.add_parser("compute", help="order-sum of one group")
+    c = sub.add_parser("compute", parents=[json_flag, enum_cap],
+                       help="order-sum of one group")
     c.add_argument("spec", help=spec_help)
     c.add_argument("--verify", action="store_true",
                    help="cross-check by enumerating the whole group")
-    c.add_argument("--max-enum", type=int, default=DEFAULT_ENUM_CAP,
-                   help="largest group the verifier may enumerate "
-                        "(default %(default)s)")
-    c.add_argument("--json", action="store_true", help="machine-readable output")
     c.set_defaults(handler=cmd_compute)
 
-    l = sub.add_parser("list", help="all abelian types of one order")
-    l.add_argument("order", type=int, help="group order")
-    l.add_argument("--json", action="store_true", help="machine-readable output")
+    l = sub.add_parser("list", parents=[json_flag],
+                       help="all abelian types of one order")
+    l.add_argument("order", type=_POSITIVE, help="group order")
     l.set_defaults(handler=cmd_list)
 
-    y = sub.add_parser("poly", help="order-sum polynomial of a p-group shape")
+    y = sub.add_parser("poly", parents=[json_flag],
+                       help="order-sum polynomial of a p-group shape")
     y.add_argument("shape", help="ascending exponent list, e.g. [1,2]")
-    y.add_argument("--json", action="store_true", help="machine-readable output")
     y.set_defaults(handler=cmd_poly)
 
-    r = sub.add_parser("relative", help="order-sum relative to a subgroup")
+    r = sub.add_parser("relative", parents=[json_flag, enum_cap],
+                       help="order-sum relative to a subgroup")
     r.add_argument("spec", help=spec_help)
     r.add_argument("--gen", action="append", metavar="R1,R2,...",
                    help="subgroup generator, one residue per cyclic factor; "
                         "repeat for several generators")
-    r.add_argument("--max-enum", type=int, default=DEFAULT_ENUM_CAP,
-                   help="largest group to enumerate (default %(default)s)")
-    r.add_argument("--json", action="store_true", help="machine-readable output")
     r.set_defaults(handler=cmd_relative)
 
     s = sub.add_parser("sweep", help="scan a range of group orders")
-    s.add_argument("kind",
-                   choices=("conjecture", "divisibility", "image", "monotonicity"),
-                   help="what to scan for")
-    s.add_argument("--from", dest="from_", type=int, metavar="N",
-                   help="first order (conjecture/divisibility, default 2)")
-    s.add_argument("--to", type=int, metavar="N",
-                   help="last order (conjecture/divisibility/image)")
-    s.add_argument("--n", type=int, help="exponent of the monotonicity chain")
-    s.add_argument("--p", type=int, help="prime of the monotonicity chain")
-    s.add_argument("--workers", type=int, metavar="N",
-                   help="worker processes (default 1)")
-    s.add_argument("--checkpoint", metavar="PATH",
-                   help="progress file for conjecture/divisibility sweeps; "
-                        "report file for image/monotonicity sweeps")
-    s.add_argument("--resume", action="store_true",
-                   help="continue from an existing checkpoint")
-    s.add_argument("--json", action="store_true", help="machine-readable output")
-    s.set_defaults(handler=cmd_sweep)
+    kinds = s.add_subparsers(dest="kind", required=True, metavar="KIND")
+    for kind, about in (("conjecture", "same-order order-sum collisions"),
+                        ("divisibility", "groups whose order divides their "
+                                         "order-sum")):
+        k = kinds.add_parser(kind, parents=[json_flag, workers],
+                             help=f"scan a range of orders for {about}")
+        k.add_argument("--from", dest="from_", type=_ORDER_FROM, default=2,
+                       metavar="N", help="first order (default 2)")
+        k.add_argument("--to", type=int, required=True, metavar="N",
+                       help="last order")
+        k.add_argument("--checkpoint", metavar="PATH",
+                       help="progress file, rewritten after every block")
+        k.add_argument("--resume", action="store_true",
+                       help="continue the existing progress file")
+        k.set_defaults(handler=_sweep_counting)
+    k = kinds.add_parser("image", parents=[json_flag, workers, report],
+                         help="small values, parity and lower bound of "
+                              "the order-sums of orders 1..N")
+    k.add_argument("--to", type=_POSITIVE, required=True, metavar="N",
+                   help="last order; the scan starts at order 1")
+    k.set_defaults(handler=_sweep_image)
+    k = kinds.add_parser("monotonicity", parents=[json_flag, report],
+                         help="order-sums along the chain of p-groups of "
+                              "order p^n")
+    k.add_argument("--n", type=_POSITIVE, required=True,
+                   help="exponent of the chain")
+    k.add_argument("--p", type=_PRIME, required=True,
+                   help="prime of the chain")
+    k.set_defaults(handler=_sweep_monotonicity)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else EXIT_USAGE

@@ -4,7 +4,9 @@ Everything here works on an explicit presentation of a finite abelian
 group as Z_{m_1} x ... x Z_{m_r} (component moduli, addition mod each
 modulus) and computes by visiting every element.  It is deliberately
 independent of the formula modules: no partitions, no p-group types, no
-closed forms.
+closed forms.  The only import from the package is arith's integer
+factorization, which the relative-order walker uses to list the primes of
+an element order.
 The formula side is tested against this module, never the other way round.
 
 Enumerations are guarded by an element-count cap (default 2**20) so a typo
@@ -13,6 +15,8 @@ in a group spec cannot silently start a week-long loop.
 
 from itertools import product, starmap
 from math import gcd, lcm, prod
+
+from .arith import factorize
 
 __all__ = [
     "DEFAULT_ENUM_CAP",
@@ -127,21 +131,6 @@ def subgroup_closure(moduli, generators, *,
     return frozenset(seen)
 
 
-def _prime_divisors(n: int) -> list[int]:
-    # Distinct primes of n >= 1, ascending, by trial division.
-    primes = []
-    q = 2
-    while q * q <= n:
-        if n % q == 0:
-            primes.append(q)
-            while n % q == 0:
-                n //= q
-        q += 1
-    if n > 1:
-        primes.append(n)
-    return primes
-
-
 def _descend(ms: tuple[int, ...], subgroup, e: tuple[int, ...], order: int,
              primes) -> int:
     # Least m >= 1 with m * e in the subgroup, given order = ord(e).  The m
@@ -178,7 +167,7 @@ def relative_order(moduli, subgroup, element) -> int:
     if identity not in subgroup:
         raise ValueError("subgroup does not contain the identity")
     order = element_order(ms, e)
-    return _descend(ms, subgroup, e, order, _prime_divisors(order))
+    return _descend(ms, subgroup, e, order, [q for q, _ in factorize(order)])
 
 
 def psi_relative(moduli, subgroup, *, max_enum: int = DEFAULT_ENUM_CAP) -> int:
@@ -197,7 +186,7 @@ def psi_relative(moduli, subgroup, *, max_enum: int = DEFAULT_ENUM_CAP) -> int:
     identity = (0,) * len(ms)
     if identity not in subgroup:
         raise ValueError("subgroup does not contain the identity")
-    primes = _prime_divisors(lcm(*ms))
+    primes = [q for q, _ in factorize(lcm(*ms))]
     ranges = [range(m) for m in ms]
     return sum(_descend(ms, subgroup, e, order, primes)
                for e, order in zip(product(*ranges), _orders(ms, ranges)))

@@ -338,3 +338,40 @@ def test_soundness_check_survives_optimize():
     proc = run_python(code, "-O")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("1 even order-sum recorded: [(2, '2', 8)")
+
+
+def test_pool_size_is_bounded_by_block_count(monkeypatch):
+    # A stand-in multiprocessing context records the pool size asked for
+    # and maps in this process, so the test starts no process at all.
+    import multiprocessing
+
+    requested = []
+
+    class InlinePool:
+        def __init__(self, size):
+            requested.append(size)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, fn, items):
+            return map(fn, items)
+
+    class InlineContext:
+        Pool = InlinePool
+
+    monkeypatch.setattr(multiprocessing, "get_context",
+                        lambda method: InlineContext())
+    expected = scan_orders(2, 5000)
+    assert scan_orders(2, 5000, workers=100000) == expected
+    assert requested == [5]
+    # One block leaves one worker, which scans in process without a pool.
+    assert scan_orders(2, 900, workers=8) == scan_orders(2, 900)
+    assert image_probe(900, workers=8) == image_probe(900)
+    assert requested == [5]
+    checkpoint = conjecture_sweep(2, 2500, workers=100000)
+    assert checkpoint == conjecture_sweep(2, 2500)
+    assert requested == [5, 3]

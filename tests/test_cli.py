@@ -1,6 +1,7 @@
 """End-to-end tests of the command line, driven through main(argv)."""
 
 import json
+import re
 import sys
 
 import pytest
@@ -478,3 +479,85 @@ def test_cli_import_leaves_multiprocessing_unloaded():
                       "print('multiprocessing' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+SWEEP_KIND_FLAGS = {
+    "conjecture": {"--from", "--to", "--workers", "--checkpoint", "--resume"},
+    "divisibility": {"--from", "--to", "--workers", "--checkpoint",
+                     "--resume"},
+    "image": {"--to", "--workers", "--checkpoint"},
+    "monotonicity": {"--n", "--p", "--checkpoint"},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SWEEP_KIND_FLAGS))
+def test_sweep_kind_help_lists_only_its_flags(capsys, kind):
+    code, out, _ = run(capsys, "sweep", kind, "--help")
+    assert code == 0
+    shown = set(re.findall(r"--[a-z][a-z-]*", out))
+    assert shown == SWEEP_KIND_FLAGS[kind] | {"--json", "--help"}
+
+
+def _scrub(out):
+    return re.sub(r'"elapsed_ms": [0-9.]+', '"elapsed_ms": X', out)
+
+
+def test_repeated_main_calls_match_lone_calls(capsys):
+    # main() reuses one parser; nothing from an earlier call, a usage
+    # error or repeated --gen flags included, may reach a later one.
+    calls = [
+        ("relative", "2^[1,2]", "--gen", "1,0", "--gen", "0,2", "--json"),
+        ("sweep", "image", "--to", "0", "--json"),
+        ("relative", "2^[1,2]", "--gen", "1,2", "--json"),
+        ("relative", "2^[1,2]", "--json"),
+        ("sweep", "conjecture", "--to", "50", "--n", "3"),
+        ("compute", "2^[1,2]*3", "--verify", "--max-enum", "30", "--json"),
+        ("compute", "2^[1,2]*3", "--json"),
+        ("sweep", "divisibility", "--from", "3880", "--to", "3890",
+         "--workers", "2", "--json"),
+        ("sweep", "conjecture", "--to", "40", "--json"),
+        ("sweep", "monotonicity", "--n", "4", "--p", "2", "--json"),
+    ]
+    lone = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        code, out, err = run(capsys, *argv)
+        lone.append((code, _scrub(out), err))
+    cli.build_parser.cache_clear()
+    for argv, expected in zip(calls + calls, lone + lone):
+        code, out, err = run(capsys, *argv)
+        assert (code, _scrub(out), err) == expected, argv
+    assert cli.build_parser.cache_info().misses == 1
+    assert [code for code, _, _ in lone] == [0, 2, 0, 0, 2, 0, 0, 1, 0, 0]
+
+
+def test_parser_is_built_once_per_process():
+    proc = run_python(
+        "import contextlib, io\n"
+        "import ordersum.cli as cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()), \\\n"
+        "        contextlib.redirect_stderr(io.StringIO()):\n"
+        "    codes = [cli.main(['list', '4']), cli.main(['list', '0']),\n"
+        "             cli.main(['compute', '5', '--json'])]\n"
+        "print(codes, cli.build_parser.cache_info().misses)\n")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[0, 2, 0] 1"
+
+
+def run_module(*argv):
+    # python -m ordersum.cli ARGV, in a fresh interpreter.
+    return run_python(
+        "import runpy, sys\n"
+        f"sys.argv = ['ordersum', *{list(argv)!r}]\n"
+        "runpy.run_module('ordersum.cli', run_name='__main__', "
+        "alter_sys=True)\n")
+
+
+def test_module_entry_point_exit_codes():
+    proc = run_module("sweep", "monotonicity", "--n", "3", "--p", "2",
+                      "--json")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["ok"] is True
+    proc = run_module("sweep", "image", "--to", "10", "--from", "2")
+    assert proc.returncode == 2
+    assert "--from" in proc.stderr
