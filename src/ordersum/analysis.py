@@ -12,6 +12,15 @@ the library's long-running searches care about:
     least 2*order - 1 (impossible unless the formulas are broken, so the
     sweep wrappers raise SoundnessError on them).
 
+The scan kernel (_scan_range) never builds a type.  psi is multiplicative
+over the primes of the order, so for each p^e exactly dividing n it takes
+the list of psi values of the shapes of e (one value, p^2 - p + 1, when
+e = 1) and folds the lists together with one multiplication per type, in
+the type enumeration order.  A type's spec label is rebuilt from its
+index in that order, and only for the records kept.  Every value comes
+through _psi_prime_power, whose cache holds only shapes of order p^2 or
+more, so it is bounded by the primes up to the square root of the range.
+
 Long sweeps persist progress in a small JSON checkpoint.  Checkpoints are
 written atomically (temp file + rename), carry a format version that is
 checked before anything else, and record the largest fully-scanned order,
@@ -27,18 +36,19 @@ changes any output.
 
 import json
 import os
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations
-from math import isqrt, prod
+from math import isqrt
 
 from .arith import is_prime, smallest_prime_factors
 from .partitions import Partition, partitions_of
 from .psi_core import (
     _psi_prime_power,
-    _shapes_of,  # the enumerator's shape cache, still importable from here
+    _shapes_of,
     format_components,
     group_type_of_order,
-    iter_type_components,
     psi_abelian,
     psi_cyclic,
     psi_elem_abelian,
@@ -245,6 +255,23 @@ class SweepOutcome:
         self.five_orders.extend(other.five_orders)
 
 
+@lru_cache(maxsize=1)
+def _sieving_primes(bound: int) -> tuple[int, ...]:
+    spf = smallest_prime_factors(bound)
+    return tuple(p for p in range(2, len(spf)) if spf[p] == p)
+
+
+def _primes_up_to(limit: int) -> tuple[int, ...]:
+    """The primes up to `limit`, sliced from a sieve shared across blocks.
+
+    The sieve runs up to the power of two above `limit`, so consecutive
+    blocks, whose limits isqrt(stop) grow slowly, reuse one sieve until
+    the limit passes that power of two.
+    """
+    primes = _sieving_primes(1 << limit.bit_length())
+    return primes[:bisect_right(primes, limit)]
+
+
 def _factor_block(start: int, stop: int) -> list[list[tuple[int, int]]]:
     """Sorted (prime, exponent) pairs of every n in [start, stop], in order.
 
@@ -252,11 +279,9 @@ def _factor_block(start: int, stop: int) -> list[list[tuple[int, int]]]:
     block's residues.  A cofactor left above 1 has no prime factor up to
     isqrt(stop), so it is itself prime.
     """
-    spf = smallest_prime_factors(isqrt(stop))
-    primes = [p for p in range(2, len(spf)) if spf[p] == p]
     residues = list(range(start, stop + 1))
     factors: list[list[tuple[int, int]]] = [[] for _ in residues]
-    for p in primes:
+    for p in _primes_up_to(isqrt(stop)):
         for i in range(-start % p, len(residues), p):
             e = 0
             while residues[i] % p == 0:
@@ -267,37 +292,64 @@ def _factor_block(start: int, stop: int) -> list[list[tuple[int, int]]]:
             for r, pairs in zip(residues, factors)]
 
 
+def _type_label(factorization: list[tuple[int, int]], index: int) -> str:
+    """Spec label of the type at `index` in the order's list of types.
+
+    The index is a mixed-radix number whose digits pick a shape of each
+    exponent, the last prime's digit varying fastest (the order of
+    iter_type_components).
+    """
+    pairs = []
+    for p, e in reversed(factorization):
+        shapes = _shapes_of(e)
+        index, digit = divmod(index, len(shapes))
+        pairs.append((p, shapes[digit]))
+    return format_components(reversed(pairs))
+
+
 def _scan_range(bounds: tuple[int, int]) -> SweepOutcome:
     """Scan every order in [start, stop] with all detectors on.
 
-    A pure function of its bounds, so it is also the pool task.  Spec
-    labels are formatted only for the records kept.
+    A pure function of its bounds, so it is also the pool task.  psi is
+    multiplicative, so the values of all types of an order are products
+    of one value per prime: a prime of exponent 1 contributes a factor
+    common to every type, and a prime of exponent e >= 2 one value per
+    shape of e.  Spec labels are formatted only for the records kept.
     """
     start, stop = bounds
     out = SweepOutcome()
     for n, factorization in enumerate(_factor_block(start, stop), start):
-        combos = list(iter_type_components(factorization))
-        values = [prod(_psi_prime_power(p, parts) for p, parts in combo)
-                  for combo in combos]
+        common = 1
+        values = [1]
+        for p, e in factorization:
+            if e == 1:
+                common *= _psi_prime_power(p, (1,))
+            else:
+                psis = [_psi_prime_power(p, parts) for parts in _shapes_of(e)]
+                values = [v * w for v in values for w in psis]
+        values = [common * v for v in values]
         out.types_scanned += len(values)
-        for combo, value in zip(combos, values):
+        for i, value in enumerate(values):
             if value % 2 == 0:
-                out.odd_violations.append((n, format_components(combo), value))
+                out.odd_violations.append(
+                    (n, _type_label(factorization, i), value))
             if value < 2 * n - 1:
-                out.bound_violations.append((n, format_components(combo), value))
+                out.bound_violations.append(
+                    (n, _type_label(factorization, i), value))
             if value == 5:
                 out.five_orders.append(n)
             if n >= 2 and value % n == 0:
-                out.divisible_hits.append(
-                    DivisibleRecord(n, format_components(combo), value, value // n))
+                out.divisible_hits.append(DivisibleRecord(
+                    n, _type_label(factorization, i), value, value // n))
         if len(set(values)) < len(values):
-            by_value: dict[int, list[tuple]] = {}
-            for combo, value in zip(combos, values):
-                by_value.setdefault(value, []).append(combo)
-            for value, group in by_value.items():
-                for a, b in combinations(group, 2):
+            by_value: dict[int, list[int]] = {}
+            for i, value in enumerate(values):
+                by_value.setdefault(value, []).append(i)
+            for value, indices in by_value.items():
+                for a, b in combinations(indices, 2):
                     out.collisions.append(CollisionRecord(
-                        n, format_components(a), format_components(b), value))
+                        n, _type_label(factorization, a),
+                        _type_label(factorization, b), value))
     return out
 
 

@@ -452,17 +452,17 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("spec", help=spec_help)
     c.add_argument("--verify", action="store_true",
                    help="cross-check by enumerating the whole group")
-    c.set_defaults(handler=cmd_compute)
+    c.set_defaults(handler=cmd_compute, parser=c)
 
     l = sub.add_parser("list", parents=[json_flag],
                        help="all abelian types of one order")
     l.add_argument("order", type=_POSITIVE, help="group order")
-    l.set_defaults(handler=cmd_list)
+    l.set_defaults(handler=cmd_list, parser=l)
 
     y = sub.add_parser("poly", parents=[json_flag],
                        help="order-sum polynomial of a p-group shape")
     y.add_argument("shape", help="ascending exponent list, e.g. [1,2]")
-    y.set_defaults(handler=cmd_poly)
+    y.set_defaults(handler=cmd_poly, parser=y)
 
     r = sub.add_parser("relative", parents=[json_flag, enum_cap],
                        help="order-sum relative to a subgroup")
@@ -470,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--gen", action="append", metavar="R1,R2,...",
                    help="subgroup generator, one residue per cyclic factor; "
                         "repeat for several generators")
-    r.set_defaults(handler=cmd_relative)
+    r.set_defaults(handler=cmd_relative, parser=r)
 
     s = sub.add_parser("sweep", help="scan a range of group orders")
     kinds = s.add_subparsers(dest="kind", required=True, metavar="KIND")
@@ -487,13 +487,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="progress file, rewritten after every block")
         k.add_argument("--resume", action="store_true",
                        help="continue the existing progress file")
-        k.set_defaults(handler=_sweep_counting)
+        k.set_defaults(handler=_sweep_counting, parser=k)
     k = kinds.add_parser("image", parents=[json_flag, workers, report],
                          help="small values, parity and lower bound of "
                               "the order-sums of orders 1..N")
     k.add_argument("--to", type=_POSITIVE, required=True, metavar="N",
                    help="last order; the scan starts at order 1")
-    k.set_defaults(handler=_sweep_image)
+    k.set_defaults(handler=_sweep_image, parser=k)
     k = kinds.add_parser("monotonicity", parents=[json_flag, report],
                          help="order-sums along the chain of p-groups of "
                               "order p^n")
@@ -501,14 +501,19 @@ def build_parser() -> argparse.ArgumentParser:
                    help="exponent of the chain")
     k.add_argument("--p", type=_PRIME, required=True,
                    help="prime of the chain")
-    k.set_defaults(handler=_sweep_monotonicity)
+    k.set_defaults(handler=_sweep_monotonicity, parser=k)
 
     return parser
 
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args, extras = build_parser().parse_known_args(argv)
+        if extras:
+            # argparse hands a subcommand's unknown flags up to the top
+            # level; report them under the subcommand's own usage line,
+            # which lists the flags it does take.
+            args.parser.error(f"unrecognized arguments: {' '.join(extras)}")
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else EXIT_USAGE

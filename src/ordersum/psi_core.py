@@ -127,11 +127,25 @@ def band_schedule(
     return parts[-1] + sum(parts), bands
 
 
-@lru_cache(maxsize=None)
 def _psi_prime_power(p: int, parts: tuple[int, ...]) -> int:
     """psi for the p-group with ascending part tuple `parts`.
 
-    The band sum p^D - (p - 1) * sum over bands of
+    The sweep kernel fetches every per-prime value through this name, once
+    per (p, shape) of each order it scans.  Z_p is answered directly,
+    p^2 - p + 1, so only shapes of order p^2 or more reach the cached band
+    sum; a sweep up to `stop` meets those only for p <= isqrt(stop), which
+    bounds the cache by the primes up to the square root of the range.
+    """
+    if parts == (1,):
+        return p * p - p + 1
+    return _psi_band_sum(p, parts)
+
+
+@lru_cache(maxsize=None)
+def _psi_band_sum(p: int, parts: tuple[int, ...]) -> int:
+    """psi for the p-group with ascending parts, as a band sum.
+
+    p^D - (p - 1) * sum over bands of
     p^{slope * lo + offset} (p^{slope * length} - 1) / (p^slope - 1),
     with the bands of band_schedule.  Each geometric-sum division is exact
     (x^s - 1 divides x^{s m} - 1) and is checked by exact_div.

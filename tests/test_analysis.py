@@ -2,15 +2,20 @@
 
 import json
 import tracemalloc
+from itertools import combinations
+from math import isqrt, prod
 
 import pytest
 
+import ordersum.analysis as analysis
+from ordersum import psi_core
 from ordersum.analysis import (
     CHECKPOINT_VERSION,
     CheckpointError,
     CollisionRecord,
     DivisibleRecord,
     SweepCheckpoint,
+    SweepOutcome,
     conjecture_sweep,
     divisibility_search,
     image_probe,
@@ -19,9 +24,9 @@ from ordersum.analysis import (
     save_checkpoint,
     scan_orders,
 )
-from ordersum.arith import factorize
+from ordersum.arith import factorize, smallest_prime_factors
 from ordersum.partitions import partitions_of
-from ordersum.psi_core import group_type_of_order, psi_abelian
+from ordersum.psi_core import format_group_spec, group_type_of_order, psi_abelian
 from support import run_python
 
 
@@ -108,6 +113,115 @@ def test_scan_orders_memory_does_not_grow_with_stop():
     assert peak < 16 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
     assert outcome.types_scanned == sum(
         len(group_type_of_order(n)) for n in range(start, stop + 1))
+
+
+def test_sieving_primes_are_shared_up_to_a_power_of_two(monkeypatch):
+    # Blocks take their sieving primes from one sieve per power of two, so
+    # a sweep re-sieves only when isqrt(stop) passes one.
+    sieved = []
+
+    def counting_sieve(limit):
+        sieved.append(limit)
+        return smallest_prime_factors(limit)
+
+    monkeypatch.setattr(analysis, "smallest_prime_factors", counting_sieve)
+    analysis._sieving_primes.cache_clear()
+    spf = smallest_prime_factors(2100)
+    for limit in range(1, 2101):
+        assert analysis._primes_up_to(limit) == tuple(
+            p for p in range(2, limit + 1) if spf[p] == p), limit
+    assert sieved == [2 ** k for k in range(1, 13)]
+    # Blocks on both sides of 1024^2 factor correctly with their slices.
+    expected = [factorize(n) for n in range(1024 ** 2 - 1500, 1024 ** 2 + 1501)]
+    assert analysis._factor_block(1024 ** 2 - 1500, 1024 ** 2) \
+        + analysis._factor_block(1024 ** 2 + 1, 1024 ** 2 + 1500) == expected
+
+
+def _definition_outcome(start, stop):
+    """What a scan of [start, stop] finds, by psi_abelian over every type."""
+    out = SweepOutcome()
+    for n in range(start, stop + 1):
+        types = group_type_of_order(n)
+        out.types_scanned += len(types)
+        for t in types:
+            value = psi_abelian(t)
+            if value == 5:
+                out.five_orders.append(n)
+            if value % n == 0:
+                out.divisible_hits.append(
+                    DivisibleRecord(n, format_group_spec(t), value, value // n))
+    return out
+
+
+@pytest.mark.parametrize("start, stop", [
+    (2, 4000),  # holds the smallest divisibility hits, 3887 among them
+    (1009 ** 2 - 200, 1009 ** 2 + 200),
+    (10 ** 7 + 1, 10 ** 7 + 300),
+    (10 ** 8 - 300, 10 ** 8),
+])
+def test_scan_kernel_matches_definition_route(start, stop):
+    # The kernel multiplies per-prime value lists; the definition route
+    # builds every type and takes psi_abelian of it.  Correct formulas give
+    # no collisions and no violations, so those lists stay empty.
+    assert analysis._scan_range((start, stop)) == _definition_outcome(start, stop)
+
+
+def test_collision_labels_follow_type_order(monkeypatch):
+    # A forged psi that is odd and at least 2n - 1 (so no soundness check
+    # fires) but depends only on the exponent and the parity of the number
+    # of parts: orders with a square factor then hold collisions, which
+    # the kernel labels from type indices.  Labels and pair order must be
+    # those of itertools.combinations over group_type_of_order.
+    def forged(p, parts):
+        return 2 * p ** sum(parts) + 1 + 2 * (len(parts) % 2)
+
+    monkeypatch.setattr(analysis, "_psi_prime_power", forged)
+    start, stop = 2, 3700  # 3600 = 2^4 * 3^2 * 5^2
+    expected = []
+    for n in range(start, stop + 1):
+        by_value = {}
+        for t in group_type_of_order(n):
+            value = prod(forged(c.p, c.shape.parts) for c in t.components)
+            by_value.setdefault(value, []).append(format_group_spec(t))
+        for value, labels in by_value.items():
+            expected += [CollisionRecord(n, a, b, value)
+                         for a, b in combinations(labels, 2)]
+    outcome = scan_orders(start, stop)
+    assert outcome.odd_violations == outcome.bound_violations == []
+    assert len({c.order for c in outcome.collisions}) > 100
+    assert outcome.collisions == expected
+
+
+def test_band_sum_cache_is_bounded_by_square_root_primes():
+    # Z_p is answered without the cache, so a sweep up to stop adds band
+    # sums only for shapes of order p^e with e >= 2 and p <= isqrt(stop):
+    # at most the shapes of exponents 2..log_p(stop) at each of the
+    # pi(10**4) = 1229 primes below, however many orders are scanned.
+    start, stop = 10 ** 8, 10 ** 8 + 100_000
+    root = isqrt(stop)
+    spf = smallest_prime_factors(root)
+    primes = [p for p in range(2, root + 1) if spf[p] == p]
+    assert len(primes) == 1229
+
+    def top_exponent(p):
+        e = 1
+        while p ** (e + 1) <= stop:
+            e += 1
+        return e
+
+    bound = sum(len(psi_core._shapes_of(e))
+                for p in primes for e in range(2, top_exponent(p) + 1))
+    cache = psi_core._psi_band_sum
+    before = cache.cache_info().currsize
+    tracemalloc.start()
+    try:
+        outcome = scan_orders(start, stop)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cache.cache_info().currsize - before <= bound
+    assert peak < 4 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
+    assert outcome.types_scanned > stop - start
 
 
 def test_conjecture_sweep_single_order():

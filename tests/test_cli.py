@@ -245,6 +245,22 @@ def test_sweep_flag_validation(capsys):
         assert "error:" in err, argv
 
 
+@pytest.mark.parametrize("usage, argv, unknown", [
+    ("ordersum sweep image", ("--to", "10", "--from", "2"), "--from 2"),
+    ("ordersum sweep monotonicity", ("--n", "3", "--p", "2", "--resume"),
+     "--resume"),
+    ("ordersum compute", ("2", "--bogus"), "--bogus"),
+])
+def test_unknown_flag_is_reported_under_its_subcommand(capsys, usage, argv,
+                                                        unknown):
+    # The usage line shown is the subcommand's, which lists the flags it
+    # does take, not the top-level one.
+    code, out, err = run(capsys, *usage.split()[1:], *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"usage: {usage} ")
+    assert err.endswith(f"{usage}: error: unrecognized arguments: {unknown}\n")
+
+
 def test_sweep_unknown_kind_is_usage_error(capsys):
     code, _, _ = run(capsys, "sweep", "bogus", "--to", "10")
     assert code == 2

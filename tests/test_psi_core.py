@@ -334,6 +334,14 @@ def test_band_sum_on_deep_and_repeated_shapes(parts):
         assert psi_p(g) == psi_p_alt(g) == poly(p)
 
 
+def test_prime_order_psi_is_the_band_sum():
+    # psi(Z_p) is answered without the cached band sum; it must be the
+    # value the band sum and the per-alpha reference give.
+    from ordersum.psi_core import _psi_band_sum, _psi_prime_power
+    for p in (2, 3, 5, 97, 10007, 1000003):
+        assert _psi_prime_power(p, (1,)) == _psi_band_sum(p, (1,)) == psi_p_alt(pg(p, 1))
+
+
 def test_iter_type_components_is_the_group_type_order():
     from ordersum.arith import factorize
     for n in (1, 72, 144, 3887):
