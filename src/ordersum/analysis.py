@@ -148,7 +148,8 @@ def _get_str(obj: dict, key: str) -> str:
 
 def _get_int_string(obj: dict, key: str) -> int:
     v = _get_str(obj, key)
-    if not v.isdigit():
+    # ASCII digits only: isdigit() also takes "²", which int() rejects.
+    if not (v.isascii() and v.isdigit()):
         raise CheckpointError(f"field {key!r} must be a decimal string, got {v!r}")
     return int(v)
 
@@ -355,20 +356,23 @@ def _scan_range(bounds: tuple[int, int]) -> SweepOutcome:
 
 def _iter_block_outcomes(start: int, stop: int, workers: int, block_size: int):
     """Yield (last_order_of_block, SweepOutcome) in ascending block order."""
-    if start > stop:
-        return
-    blocks = [(a, min(a + block_size - 1, stop))
-              for a in range(start, stop + 1, block_size)]
+    # Blocks are made as they are scanned, so memory does not grow with
+    # the number of blocks.
+    starts = range(start, stop + 1, block_size)
+
+    def blocks():
+        return ((a, min(a + block_size - 1, stop)) for a in starts)
+
     # A worker beyond one per block would have nothing to scan.
-    workers = min(workers, len(blocks))
+    workers = min(workers, len(starts))
     if workers <= 1:
-        for b in blocks:
+        for b in blocks():
             yield b[1], _scan_range(b)
     else:
         from multiprocessing import get_context
         ctx = get_context("fork")
         with ctx.Pool(workers) as pool:
-            for b, outcome in zip(blocks, pool.imap(_scan_range, blocks)):
+            for b, outcome in zip(blocks(), pool.imap(_scan_range, blocks())):
                 yield b[1], outcome
 
 

@@ -53,7 +53,6 @@ from .oracle import (
     psi_relative,
     subgroup_closure,
 )
-from .partitions import Partition
 from .polynomial import psi_symbolic, verify_closed_form
 from .psi_core import (
     GroupSpecError,
@@ -61,6 +60,7 @@ from .psi_core import (
     format_group_spec,
     group_type_of_order,
     parse_group_spec,
+    parse_shape,
     psi_abelian,
 )
 
@@ -149,25 +149,8 @@ def cmd_list(args) -> int:
     return EXIT_OK
 
 
-def _parse_shape(text: str) -> Partition:
-    if not text.startswith("[") or not text.endswith("]"):
-        raise UsageError(
-            f"invalid shape {text!r}: expected bracketed exponents like [1,2]")
-    body = text[1:-1]
-    parts = []
-    for token in body.split(","):
-        if not token.isdigit():
-            raise UsageError(
-                f"invalid shape {text!r}: {token!r} is not a positive integer")
-        parts.append(int(token))
-    try:
-        return Partition(tuple(parts))
-    except ValueError as exc:
-        raise UsageError(f"invalid shape {text!r}: {exc}") from exc
-
-
 def cmd_poly(args) -> int:
-    shape = _parse_shape(args.shape)
+    shape = parse_shape(args.shape)
     t0 = perf_counter()
     poly = psi_symbolic(shape)
     try:
@@ -213,8 +196,9 @@ def cmd_relative(args) -> int:
         residues = []
         for token in text.split(","):
             stripped = token.strip()
-            if not (stripped.isdigit()
-                    or (stripped.startswith("-") and stripped[1:].isdigit())):
+            digits = stripped.removeprefix("-")
+            # ASCII digits only: isdigit() also takes "²", which int() rejects.
+            if not (digits.isascii() and digits.isdigit()):
                 raise UsageError(
                     f"generator {gi}: {token!r} is not an integer")
             residues.append(int(stripped))

@@ -2,9 +2,10 @@
 
 For a fixed partition shape, the order-sum of the p-group of that shape is
 a polynomial in p with integer coefficients.  This module constructs that
-polynomial exactly (psi_symbolic) and re-derives the closed forms for the
-small families as polynomial identities (verify_closed_form), so every
-formula is checked in Z[x] once and for all rather than prime by prime.
+polynomial exactly (psi_symbolic) and checks psi_core's closed forms for
+the small families against it (verify_closed_form): it evaluates the very
+functions behind psi_cyclic ... psi_rank3 in Z[x], so each formula is
+checked once and for all rather than prime by prime.
 
 All arithmetic is over Z.  Division is long division that insists on
 exactness at every step and raises ExactDivisionError otherwise.
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 from .arith import ExactDivisionError
 from .partitions import Partition
-from .psi_core import band_schedule
+from .psi_core import _corollary2_forms, band_schedule
 
 __all__ = [
     "ClosedFormCheck",
@@ -86,11 +87,6 @@ class IntPoly:
         rem = list(self.coeffs)
         lead = divisor.coeffs[-1]
         dn = len(divisor.coeffs)
-        if len(rem) < dn:
-            if any(rem):
-                raise ExactDivisionError(
-                    f"{self} is not divisible by {divisor}")
-            return IntPoly()
         quot = [0] * (len(rem) - dn + 1)
         for i in range(len(quot) - 1, -1, -1):
             c = rem[i + dn - 1]
@@ -135,10 +131,6 @@ class IntPoly:
         return f"IntPoly({self.coeffs!r})"
 
 
-_ONE = IntPoly((1,))
-_X = IntPoly((0, 1))
-
-
 def psi_symbolic(shape: Partition) -> IntPoly:
     """Order-sum of the p-group of the given shape, as a polynomial in p.
 
@@ -159,40 +151,6 @@ def psi_symbolic(shape: Partition) -> IntPoly:
         coeffs[first:stop:slope] = [1] * length
         coeffs[first + 1:stop + 1:slope] = [-1] * length
     return IntPoly(coeffs)
-
-
-def _geometric(n: int) -> IntPoly:
-    """1 + x + ... + x^{n-1}."""
-    return IntPoly((1,) * n)
-
-
-def _closed_cyclic(n: int) -> IntPoly:
-    return (IntPoly.monomial(2 * n + 1) + _ONE).exact_div(_geometric(2))
-
-
-def _closed_elem_abelian(n: int) -> IntPoly:
-    return IntPoly.monomial(n + 1) - _X + _ONE
-
-
-def _closed_near_elem(n: int) -> IntPoly:
-    return (IntPoly.monomial(n + 2) - IntPoly.monomial(n + 1)
-            + IntPoly.monomial(n) - _X + _ONE)
-
-
-def _closed_rank2(a1: int, a2: int) -> IntPoly:
-    num = (IntPoly.monomial(2 * a2 + a1 + 3) + IntPoly.monomial(2 * a2 + a1 + 2)
-           + IntPoly.monomial(2 * a2 + a1 + 1) + IntPoly.monomial(3 * a1 + 2)
-           + _X + _ONE)
-    return num.exact_div(_geometric(2) * _geometric(3))
-
-
-def _closed_rank3(a1: int, a2: int, a3: int) -> IntPoly:
-    t1 = (IntPoly.monomial(2 * a3 + a2 + a1 + 1)
-          + IntPoly.monomial(3 * a2 + a1 + 2)).exact_div(_geometric(2))
-    t2 = (IntPoly.monomial(3 * a2 + a1 + 3)
-          - IntPoly.monomial(4 * a1 + 3)).exact_div(_geometric(3))
-    t3 = (IntPoly.monomial(4 * a1 + 4) - _ONE).exact_div(_geometric(4))
-    return t1 - t2 - t3
 
 
 @dataclass(frozen=True, slots=True)
@@ -224,23 +182,15 @@ class ClosedFormReport:
 def verify_closed_form(shape: Partition) -> ClosedFormReport:
     """Check every closed form that covers `shape` against psi_symbolic.
 
+    The forms are psi_core's, the ones psi_cyclic ... psi_rank3 evaluate
+    at x = p, here evaluated in Z[x] with exact polynomial division.
     Covered shapes: a single part (n), all parts 1, all parts 1 except a
     final 2, and any shape with at most three parts.  The residual of each
     check is closed form minus direct polynomial, so a match is residual 0.
     """
-    parts = shape.parts
     direct = psi_symbolic(shape)
-    builders: list[tuple[str, IntPoly]] = []
-    if len(parts) == 1:
-        builders.append(("corollary2a", _closed_cyclic(parts[0])))
-    if all(a == 1 for a in parts):
-        builders.append(("corollary2b", _closed_elem_abelian(len(parts))))
-    if len(parts) >= 2 and parts[-1] == 2 and all(a == 1 for a in parts[:-1]):
-        builders.append(("corollary2c", _closed_near_elem(shape.n)))
-    if len(parts) == 2:
-        builders.append(("corollary2d", _closed_rank2(*parts)))
-    if len(parts) == 3:
-        builders.append(("corollary2e", _closed_rank3(*parts)))
+    builders = _corollary2_forms(IntPoly.monomial, IntPoly.exact_div,
+                                 shape.parts)
     if not builders:
         raise ValueError(
             f"no closed form covers shape {shape}: need at most 3 parts, "

@@ -20,10 +20,19 @@ geometric sum.  band_schedule lists the bands, and every production route
 (_psi_prime_power here, psi_symbolic in the polynomial module) is built
 from that one list: psi costs O(k) big-int powers whatever the size of
 the parts.  psi_p_alt keeps the literal per-alpha sum as an independent
-reference.  Only integer arithmetic is used; every division performed by
-the closed forms below is provably exact and is checked at runtime.
+reference.
+
+The closed forms of Corollary 2 (cyclic, elementary abelian, near
+elementary, rank 2, rank 3) are each written once, as a function over any
+ring that takes the powers of the variable and an exact division.  The
+psi_cyclic ... psi_rank3 functions evaluate them over Z at x = p, and
+polynomial.verify_closed_form evaluates the same functions in Z[x] and
+compares them with psi_symbolic, so the identities it proves are the
+formulas that run.  Only integer arithmetic is used; every division in
+those forms is provably exact and is checked at runtime.
 """
 
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, product
@@ -43,6 +52,7 @@ __all__ = [
     "group_type_of_order",
     "iter_type_components",
     "parse_group_spec",
+    "parse_shape",
     "psi_abelian",
     "psi_cyclic",
     "psi_elem_abelian",
@@ -179,61 +189,111 @@ def psi_p_alt(group: PGroupType) -> int:
     return p ** degree - (p - 1) * tail
 
 
-def psi_cyclic(p: int, n: int) -> int:
-    """psi of the cyclic group of order p^n: (p^{2n+1} + 1) / (p + 1).
+# Corollary 2, each form written once over any ring: x(k) is the k-th
+# power of the variable and div(a, b) is exact division.
 
-    Exact: p^{2n+1} == -1 mod p+1 since the exponent is odd.
+
+def _cyclic_form(x, div, n):
+    """Corollary 2a, the cyclic group of order p^n: (x^{2n+1} + 1) / (x + 1).
+
+    Exact: x^{2n+1} == -1 mod x + 1 since the exponent is odd.
     """
+    return div(x(2 * n + 1) + x(0), x(1) + x(0))
+
+
+def _elem_abelian_form(x, div, n):
+    """Corollary 2b, Z_p x ... x Z_p (n factors): x^{n+1} - x + 1."""
+    return x(n + 1) - x(1) + x(0)
+
+
+def _near_elem_form(x, div, n):
+    """Corollary 2c, Z_{p^2} x Z_p^{n-2} for n >= 2.
+
+    Shape (1, ..., 1, 2) of total n: x^{n+2} - x^{n+1} + x^n - x + 1.
+    """
+    return x(n + 2) - x(n + 1) + x(n) - x(1) + x(0)
+
+
+def _rank2_form(x, div, a1, a2):
+    """Corollary 2d, Z_{p^{a1}} x Z_{p^{a2}} with 1 <= a1 <= a2.
+
+    Single fraction with denominator (x + 1)(x^2 + x + 1); the numerator
+    is divisible because x^3 == 1 mod x^2 + x + 1 and the exponents of the
+    four leading terms cover all residues mod the relevant factors.
+    """
+    num = (x(2 * a2 + a1 + 3) + x(2 * a2 + a1 + 2) + x(2 * a2 + a1 + 1)
+           + x(3 * a1 + 2) + x(1) + x(0))
+    return div(num, (x(1) + x(0)) * (x(2) + x(1) + x(0)))
+
+
+def _rank3_form(x, div, a1, a2, a3):
+    """Corollary 2e, Z_{p^{a1}} x Z_{p^{a2}} x Z_{p^{a3}}, 1 <= a1 <= a2 <= a3.
+
+    Three exactly-divisible fractions: the first pairs terms of odd
+    exponent gap mod x + 1, the second uses x^3 == 1 mod x^2 + x + 1, the
+    third is a difference of fourth powers over x^3 + x^2 + x + 1.
+    """
+    t1 = div(x(2 * a3 + a2 + a1 + 1) + x(3 * a2 + a1 + 2), x(1) + x(0))
+    t2 = div(x(3 * a2 + a1 + 3) - x(4 * a1 + 3), x(2) + x(1) + x(0))
+    t3 = div(x(4 * a1 + 4) - x(0), x(3) + x(2) + x(1) + x(0))
+    return t1 - t2 - t3
+
+
+def _corollary2_forms(x, div, parts):
+    """(family, value) of every Corollary 2 form that covers the parts.
+
+    Covered ascending part tuples: a single part (n), all parts 1, all
+    parts 1 except a final 2, and two or three parts.
+    """
+    forms = []
+    if len(parts) == 1:
+        forms.append(("corollary2a", _cyclic_form(x, div, parts[0])))
+    if all(a == 1 for a in parts):
+        forms.append(("corollary2b", _elem_abelian_form(x, div, len(parts))))
+    if len(parts) >= 2 and parts[-1] == 2 and all(a == 1 for a in parts[:-1]):
+        forms.append(("corollary2c", _near_elem_form(x, div, sum(parts))))
+    if len(parts) == 2:
+        forms.append(("corollary2d", _rank2_form(x, div, *parts)))
+    if len(parts) == 3:
+        forms.append(("corollary2e", _rank3_form(x, div, *parts)))
+    return forms
+
+
+def psi_cyclic(p: int, n: int) -> int:
+    """psi of the cyclic group of order p^n: _cyclic_form at x = p."""
     _check_prime_exponent(p, n, minimum=1)
-    return exact_div(p ** (2 * n + 1) + 1, p + 1)
+    return _cyclic_form(lambda k: p ** k, exact_div, n)
 
 
 def psi_elem_abelian(p: int, n: int) -> int:
-    """psi of Z_p x ... x Z_p (n factors): p^{n+1} - p + 1."""
+    """psi of Z_p x ... x Z_p (n factors): _elem_abelian_form at x = p."""
     _check_prime_exponent(p, n, minimum=1)
-    return p ** (n + 1) - p + 1
+    return _elem_abelian_form(lambda k: p ** k, exact_div, n)
 
 
 def psi_near_elem(p: int, n: int) -> int:
-    """psi of Z_{p^2} x Z_p^{n-2} for n >= 2.
-
-    Shape (1, ..., 1, 2) of total n: p^{n+2} - p^{n+1} + p^n - p + 1.
-    """
+    """psi of Z_{p^2} x Z_p^{n-2}, n >= 2: _near_elem_form at x = p."""
     _check_prime_exponent(p, n, minimum=2)
-    return p ** (n + 2) - p ** (n + 1) + p ** n - p + 1
+    return _near_elem_form(lambda k: p ** k, exact_div, n)
 
 
 def psi_rank2(p: int, a1: int, a2: int) -> int:
-    """psi of Z_{p^{a1}} x Z_{p^{a2}} with 1 <= a1 <= a2.
-
-    Single fraction with denominator (p + 1)(p^2 + p + 1); the numerator
-    is divisible because p^3 == 1 mod p^2 + p + 1 and the exponents of the
-    four leading terms cover all residues mod the relevant factors.
-    """
+    """psi of Z_{p^{a1}} x Z_{p^{a2}}, 1 <= a1 <= a2: _rank2_form at x = p."""
     _check_prime_exponent(p, a1, minimum=1)
     if a2 < a1:
         raise ValueError(f"need a1 <= a2, got a1={a1}, a2={a2}")
-    num = (p ** (2 * a2 + a1 + 3) + p ** (2 * a2 + a1 + 2)
-           + p ** (2 * a2 + a1 + 1) + p ** (3 * a1 + 2) + p + 1)
-    return exact_div(num, (p + 1) * (p * p + p + 1))
+    return _rank2_form(lambda k: p ** k, exact_div, a1, a2)
 
 
 def psi_rank3(p: int, a1: int, a2: int, a3: int) -> int:
-    """psi of Z_{p^{a1}} x Z_{p^{a2}} x Z_{p^{a3}} with 1 <= a1 <= a2 <= a3.
+    """psi of Z_{p^{a1}} x Z_{p^{a2}} x Z_{p^{a3}}: _rank3_form at x = p.
 
-    Three exactly-divisible fractions: the first pairs terms of odd
-    exponent gap mod p + 1, the second uses p^3 == 1 mod p^2 + p + 1, the
-    third is a difference of fourth powers over x^3 + x^2 + x + 1 in p.
+    Needs 1 <= a1 <= a2 <= a3.
     """
     _check_prime_exponent(p, a1, minimum=1)
     if not a1 <= a2 <= a3:
         raise ValueError(f"need a1 <= a2 <= a3, got {a1}, {a2}, {a3}")
-    t1 = exact_div(p ** (2 * a3 + a2 + a1 + 1) + p ** (3 * a2 + a1 + 2), p + 1)
-    t2 = exact_div(p ** (3 * a2 + a1 + 3) - p ** (4 * a1 + 3),
-                   p * p + p + 1)
-    t3 = exact_div(p ** (4 * a1 + 4) - 1,
-                   p ** 3 + p ** 2 + p + 1)
-    return t1 - t2 - t3
+    return _rank3_form(lambda k: p ** k, exact_div, a1, a2, a3)
 
 
 def _check_prime_exponent(p: int, n: int, *, minimum: int) -> None:
@@ -289,11 +349,13 @@ def group_type_of_order(n: int) -> list[AbelianGroupType]:
 # group spec grammar
 #
 #   GROUP := "1" | TERM ("*" TERM)*
-#   TERM  := PRIME | PRIME "^" "[" INT ("," INT)* "]"
+#   TERM  := PRIME | PRIME "^" SHAPE
+#   SHAPE := "[" INT ("," INT)* "]"
 #
 # No whitespace anywhere.  Primes strictly increasing left to right,
 # exponents inside a bracket non-decreasing and >= 1.  A bare PRIME means
-# the single cyclic factor p^[1].
+# the single cyclic factor p^[1].  INT is ASCII digits without a leading
+# zero.  parse_shape reads a SHAPE on its own.
 
 
 class GroupSpecError(ValueError):
@@ -305,16 +367,58 @@ class GroupSpecError(ValueError):
         self.reason = message
 
 
+def _found(text: str, pos: int) -> str:
+    return repr(text[pos]) if pos < len(text) else "end of input"
+
+
+# ASCII digits only: str.isdigit() also takes digits such as "²" that
+# int() rejects.
+_DIGITS = re.compile("[0-9]+")
+
+
 def _read_int(text: str, pos: int, what: str) -> tuple[int, int]:
-    start = pos
-    while pos < len(text) and text[pos].isdigit():
-        pos += 1
-    if pos == start:
-        found = repr(text[start]) if start < len(text) else "end of input"
-        raise GroupSpecError(f"expected {what}, found {found}", start)
-    if text[start] == "0" and pos - start > 1:
-        raise GroupSpecError(f"{what} has a leading zero", start)
-    return int(text[start:pos]), pos
+    digits = _DIGITS.match(text, pos)
+    if digits is None:
+        raise GroupSpecError(f"expected {what}, found {_found(text, pos)}", pos)
+    if len(digits[0]) > 1 and digits[0][0] == "0":
+        raise GroupSpecError(f"{what} has a leading zero", pos)
+    return int(digits[0]), digits.end()
+
+
+def _read_shape(text: str, pos: int) -> tuple[Partition, int]:
+    """Read "[" INT ("," INT)* "]" at pos; return the shape and the end.
+
+    Exponents must be >= 1 and non-decreasing.
+    """
+    if pos >= len(text) or text[pos] != "[":
+        raise GroupSpecError(f"expected '[', found {_found(text, pos)}", pos)
+    exps: list[int] = []
+    while True:
+        e_start = pos + 1
+        e, pos = _read_int(text, e_start, "an exponent")
+        if e < 1:
+            raise GroupSpecError("exponents must be >= 1", e_start)
+        if exps and e < exps[-1]:
+            raise GroupSpecError(
+                f"exponents must be non-decreasing, {e} after {exps[-1]}",
+                e_start)
+        exps.append(e)
+        if pos < len(text) and text[pos] == "]":
+            return Partition(tuple(exps)), pos + 1
+        if pos >= len(text) or text[pos] != ",":
+            raise GroupSpecError(
+                f"expected ',' or ']', found {_found(text, pos)}", pos)
+
+
+def parse_shape(text: str) -> Partition:
+    """Parse an exponent list like "[1,2]", the bracket of a spec term.
+
+    Errors carry the byte offset of the first offending character.
+    """
+    shape, pos = _read_shape(text, 0)
+    if pos < len(text):
+        raise GroupSpecError(f"unexpected {text[pos]!r} after ']'", pos)
+    return shape
 
 
 def parse_group_spec(text: str) -> AbelianGroupType:
@@ -338,30 +442,7 @@ def parse_group_spec(text: str) -> AbelianGroupType:
                 term_start)
         prev_prime = p
         if pos < len(text) and text[pos] == "^":
-            pos += 1
-            if pos >= len(text) or text[pos] != "[":
-                raise GroupSpecError("expected '[' after '^'", pos)
-            pos += 1
-            exps: list[int] = []
-            while True:
-                e_start = pos
-                e, pos = _read_int(text, pos, "an exponent")
-                if e < 1:
-                    raise GroupSpecError("exponents must be >= 1", e_start)
-                if exps and e < exps[-1]:
-                    raise GroupSpecError(
-                        f"exponents must be non-decreasing, {e} after {exps[-1]}",
-                        e_start)
-                exps.append(e)
-                if pos < len(text) and text[pos] == ",":
-                    pos += 1
-                    continue
-                break
-            if pos >= len(text) or text[pos] != "]":
-                found = repr(text[pos]) if pos < len(text) else "end of input"
-                raise GroupSpecError(f"expected ',' or ']', found {found}", pos)
-            pos += 1
-            shape = Partition(tuple(exps))
+            shape, pos = _read_shape(text, pos + 1)
         else:
             shape = Partition((1,))
         components.append(PGroupType(p, shape))

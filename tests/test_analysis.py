@@ -115,6 +115,22 @@ def test_scan_orders_memory_does_not_grow_with_stop():
         len(group_type_of_order(n)) for n in range(start, stop + 1))
 
 
+def test_first_block_memory_does_not_grow_with_stop():
+    # Blocks are made as they are scanned, so reaching the first block of
+    # a range up to 1e9 costs what one block costs.
+    tracemalloc.start()
+    try:
+        blocks = analysis._iter_block_outcomes(2, 10 ** 9, 1, 1000)
+        last, outcome = next(blocks)
+        peak = tracemalloc.get_traced_memory()[1]
+        blocks.close()
+    finally:
+        tracemalloc.stop()
+    assert last == 1001
+    assert outcome == scan_orders(2, 1001)
+    assert peak < 4 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
+
+
 def test_sieving_primes_are_shared_up_to_a_power_of_two(monkeypatch):
     # Blocks take their sieving primes from one sieve per power of two, so
     # a sweep re-sieves only when isqrt(stop) passes one.

@@ -170,6 +170,31 @@ def test_poly_malformed_shape(capsys):
         assert "error:" in err
 
 
+def test_poly_shape_is_read_by_the_spec_grammar(capsys):
+    # A leading zero is refused, as in 2^[01], at the offset of the digit.
+    code, _, err = run(capsys, "poly", "[01]")
+    assert code == 2
+    assert "offset 1: an exponent has a leading zero" in err
+
+
+def test_compute_rejects_non_ascii_digits(capsys):
+    code, _, err = run(capsys, "compute", "\u00b2")
+    assert code == 2
+    assert "offset 0: expected a prime" in err
+
+
+def test_poly_rejects_non_ascii_digits(capsys):
+    code, _, err = run(capsys, "poly", "[\u00b2]")
+    assert code == 2
+    assert "offset 1: expected an exponent" in err
+
+
+def test_relative_rejects_non_ascii_generator(capsys):
+    code, _, err = run(capsys, "relative", "2^[2]", "--gen", "\u00b2")
+    assert code == 2
+    assert "not an integer" in err
+
+
 def test_relative_examples(capsys):
     code, record, _ = run_json(capsys, "relative", "2^[2]", "--gen", "2")
     assert code == 0
@@ -417,6 +442,18 @@ def test_sweep_checkpoint_rejects_corrupt_and_foreign(capsys, tmp_path):
                        "--to", "200", "--checkpoint", str(gapped), "--resume")
     assert code == 2
     assert "gap" in err
+
+
+def test_sweep_resume_rejects_non_ascii_digits(capsys, tmp_path):
+    path = tmp_path / "digits.json"
+    path.write_text(json.dumps({
+        "version": CHECKPOINT_VERSION, "max_done": 10, "collisions": [],
+        "divisible_hits": [{"order": 4, "group": "2^[2]", "psi": "\u00b2",
+                            "quotient": "1"}]}))
+    code, _, err = run(capsys, "sweep", "divisibility", "--to", "100",
+                       "--checkpoint", str(path), "--resume")
+    assert code == 2
+    assert "decimal string" in err
 
 
 def test_sweep_resume_bytes_match_single_run(capsys, tmp_path):

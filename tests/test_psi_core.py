@@ -17,6 +17,7 @@ from ordersum.psi_core import (
     group_type_of_order,
     iter_type_components,
     parse_group_spec,
+    parse_shape,
     psi_abelian,
     psi_cyclic,
     psi_elem_abelian,
@@ -297,6 +298,19 @@ def test_parse_errors_with_offsets():
     assert offset_of("02") == 0
     assert offset_of("2**3") == 2
     assert offset_of("2^1") == 2
+
+
+def test_parse_shape_reads_the_bracket_of_a_spec_term():
+    for shape in partitions_of(6):
+        text = "[" + ",".join(map(str, shape.parts)) + "]"
+        assert parse_shape(text) == shape
+        assert parse_group_spec("2^" + text).components[0].shape == shape
+    for bad, offset in (("", 0), ("1,2", 0), ("[]", 1), ("[1", 2),
+                        ("[01]", 1), ("[0]", 1), ("[2,1]", 3), ("[1]x", 3),
+                        ("[1]*3", 3)):
+        with pytest.raises(GroupSpecError) as info:
+            parse_shape(bad)
+        assert info.value.offset == offset, bad
 
 
 def test_parse_error_message_carries_offset():
