@@ -52,6 +52,7 @@ from .psi_core import (
     psi_abelian,
     psi_cyclic,
     psi_elem_abelian,
+    psi_row,
 )
 
 __all__ = [
@@ -543,14 +544,17 @@ def monotonicity_check(n: int, p: int) -> MonotonicityReport:
     closed form gives) up to the single-part cyclic type (whose value the
     cyclic closed form gives).  A non-monotonic chain is reported, not
     assumed away; it is the cheapest whole-row cross-check the formulas
-    have.
+    have.  The row is one psi_core.psi_row call, which shares powers and
+    geometric sums across the shapes and leaves the _psi_band_sum cache
+    untouched; the two endpoint checks run the Corollary 2 closed forms,
+    a route independent of the band sum.  n must be an int (not a bool).
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    entries = tuple((shape, _psi_prime_power(p, shape.parts))
-                    for shape in partitions_of(n))
+    shapes = partitions_of(n)
+    entries = tuple(zip(shapes, psi_row(p, shapes)))
     violations = tuple(
         (a, b) for (a, va), (b, vb) in zip(entries, entries[1:]) if va >= vb)
     return MonotonicityReport(

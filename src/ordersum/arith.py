@@ -32,8 +32,11 @@ def exact_div(a: int, b: int) -> int:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test by trial division up to isqrt(n)."""
-    if n < 2:
+    """Deterministic primality test by trial division up to isqrt(n).
+
+    Anything that is not an int, such as 2.0 or True, is not prime.
+    """
+    if isinstance(n, bool) or not isinstance(n, int) or n < 2:
         return False
     if n < 4:
         return True

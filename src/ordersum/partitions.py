@@ -13,8 +13,11 @@ length n and comparing those tuples lexicographically:
 
 so for n = 4 the order runs (1,1,1,1) < (1,1,2) < (2,2) < (1,3) < (4,).
 The all-ones partition is always first and the single part (n,) is always
-last.  Enumeration is successor-based: each partition is produced from the
-previous one in O(n), without materializing the whole list.
+last.  lex_successor and lex_compare define the order on Partition values,
+one step at a time, and stay as the reference.  iter_partitions walks the
+same order on one mutable descending list: each step grows the last part
+that can grow and refills the tail with ones, so the whole list is never
+materialized and no padded tuple is built.
 """
 
 from dataclasses import dataclass
@@ -42,7 +45,7 @@ class Partition:
             raise ValueError("a partition needs at least one part")
         prev = 1
         for a in self.parts:
-            if not isinstance(a, int) or a < prev:
+            if isinstance(a, bool) or not isinstance(a, int) or a < prev:
                 raise ValueError(
                     f"parts must be ascending integers >= 1, got {self.parts!r}"
                 )
@@ -113,7 +116,8 @@ def lex_successor(partition: Partition) -> Partition | None:
     position j whose entry can grow: a_j + 1 must not exceed the entry
     before it, and the suffix from j must have enough mass left to cover
     the increment.  Increase a_j by one and flatten everything after it
-    into ones.
+    into ones.  This is the reference definition of the step;
+    iter_partitions takes the same step in place.
     """
     desc = [a for a in to_padded_tuple(partition) if a != 0]
     for j in range(len(desc) - 1, -1, -1):
@@ -128,13 +132,30 @@ def lex_successor(partition: Partition) -> Partition | None:
 
 
 def iter_partitions(n: int) -> Iterator[Partition]:
-    """Yield every partition of n in the enumeration order, lazily."""
+    """Yield every partition of n in the enumeration order, lazily.
+
+    The lex_successor step, taken in place on one descending list: scan
+    back from the end for the last part that is smaller than the part
+    before it and has at least one part after it, add one to it, and
+    refill the tail with ones.
+    """
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ValueError(f"n must be an int, got {n!r}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    current: Partition | None = Partition((1,) * n)
-    while current is not None:
-        yield current
-        current = lex_successor(current)
+    desc = [1] * n
+    while True:
+        yield Partition(tuple(reversed(desc)))
+        suffix = desc[-1]
+        for j in range(len(desc) - 2, -1, -1):
+            a = desc[j]
+            suffix += a
+            if j == 0 or desc[j - 1] > a:
+                break
+        else:
+            return
+        desc[j] = a + 1
+        desc[j + 1:] = [1] * (suffix - a - 1)
 
 
 def partitions_of(n: int) -> list[Partition]:

@@ -17,10 +17,13 @@ with D = 2 a_k + a_1 + ... + a_{k-1} and f as in f_eval.  On each band
 a_j <= alpha < a_{j+1} (a_0 = 0) the tail exponent is linear in alpha,
 (k + 1 - j) alpha + a_1 + ... + a_j, so the band contributes one
 geometric sum.  band_schedule lists the bands, and every production route
-(_psi_prime_power here, psi_symbolic in the polynomial module) is built
-from that one list: psi costs O(k) big-int powers whatever the size of
-the parts.  psi_p_alt keeps the literal per-alpha sum as an independent
-reference.
+is built from that one list: psi costs O(k) big-int powers whatever the
+size of the parts.  _band_sum evaluates the bands with the powers and the
+geometric sums passed in; _psi_band_sum (behind _psi_prime_power) feeds it
+one cold value at a time, and psi_row feeds it a whole row of shapes at
+one p from shared powers and memoised geometric sums.  psi_symbolic in
+the polynomial module reads the same bands in Z[x].  psi_p_alt keeps the
+literal per-alpha sum as an independent reference.
 
 The closed forms of Corollary 2 (cyclic, elementary abelian, near
 elementary, rank 2, rank 3) are each written once, as a function over any
@@ -35,7 +38,7 @@ those forms is provably exact and is checked at runtime.
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, product
+from itertools import product
 from math import prod
 
 from .arith import exact_div, factorize, is_prime
@@ -61,6 +64,7 @@ __all__ = [
     "psi_p_alt",
     "psi_rank2",
     "psi_rank3",
+    "psi_row",
 ]
 
 
@@ -130,11 +134,32 @@ def band_schedule(
     p^{slope * alpha + offset} there.  The bands cover 0 <= alpha < a_k
     in order, and the tail exponents rise by at least 2 per step of alpha.
     """
-    k = len(parts)
-    bands = [(lo, a - lo, k + 1 - j, offset) for j, (lo, a, offset)
-             in enumerate(zip((0,) + parts, parts, accumulate(parts, initial=0)))
-             if a > lo]
-    return parts[-1] + sum(parts), bands
+    slope = len(parts) + 1
+    lo = offset = 0
+    bands = []
+    for a in parts:
+        if a > lo:
+            bands.append((lo, a - lo, slope, offset))
+        slope -= 1
+        lo = a
+        offset += a
+    return lo + offset, bands
+
+
+def _band_sum(x, geometric, parts):
+    """The band sum of the p-group with ascending parts, over any ring.
+
+    x^D - (x - 1) * sum over bands of x^{slope * lo + offset} times the
+    geometric sum 1 + x^slope + ... + x^{slope * (length - 1)}, with the
+    bands of band_schedule.  x(k) is the k-th power of the variable and
+    geometric(slope, length) is (x^{slope * length} - 1) / (x^slope - 1),
+    an exact division since x^s - 1 divides x^{s m} - 1.
+    """
+    degree, bands = band_schedule(parts)
+    tail = 0
+    for lo, length, slope, offset in bands:
+        tail += x(slope * lo + offset) * geometric(slope, length)
+    return x(degree) - (x(1) - x(0)) * tail
 
 
 def _psi_prime_power(p: int, parts: tuple[int, ...]) -> int:
@@ -153,18 +178,42 @@ def _psi_prime_power(p: int, parts: tuple[int, ...]) -> int:
 
 @lru_cache(maxsize=None)
 def _psi_band_sum(p: int, parts: tuple[int, ...]) -> int:
-    """psi for the p-group with ascending parts, as a band sum.
+    """psi for the p-group with ascending parts: _band_sum at x = p.
 
-    p^D - (p - 1) * sum over bands of
-    p^{slope * lo + offset} (p^{slope * length} - 1) / (p^slope - 1),
-    with the bands of band_schedule.  Each geometric-sum division is exact
-    (x^s - 1 divides x^{s m} - 1) and is checked by exact_div.
+    One cold value: each power is p ** k and each geometric sum one
+    exact_div, so nothing is shared between calls but this cache.  A whole
+    row of shapes at one p goes through psi_row instead, which shares its
+    powers and geometric sums and leaves this cache alone.
     """
-    degree, bands = band_schedule(parts)
-    tail = sum(p ** (slope * lo + offset)
-               * exact_div(p ** (slope * length) - 1, p ** slope - 1)
-               for lo, length, slope, offset in bands)
-    return p ** degree - (p - 1) * tail
+    def geometric(slope, length):
+        return exact_div(p ** (slope * length) - 1, p ** slope - 1)
+    return _band_sum(lambda k: p ** k, geometric, parts)
+
+
+def psi_row(p: int, shapes) -> list[int]:
+    """psi of the p-group of every shape in `shapes`, in order.
+
+    The band sum of _psi_band_sum with state shared across the row: the
+    powers of p up to the largest degree are built once, and each
+    geometric sum (slope, length) is computed once, by exact_div, and
+    reused by every later shape with a band of that slope and length.  The row owns that
+    state, so nothing is left behind in the _psi_band_sum cache.
+    """
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    shapes = [s.parts for s in shapes]
+    powers = [1]
+    for _ in range(max((s[-1] + sum(s) for s in shapes), default=0)):
+        powers.append(powers[-1] * p)
+    sums = {}
+
+    def geometric(slope, length):
+        g = sums.get((slope, length))
+        if g is None:
+            g = sums[slope, length] = exact_div(
+                powers[slope * length] - 1, powers[slope] - 1)
+        return g
+    return [_band_sum(powers.__getitem__, geometric, s) for s in shapes]
 
 
 def psi_p(group: PGroupType) -> int:
@@ -279,7 +328,7 @@ def psi_near_elem(p: int, n: int) -> int:
 
 def psi_rank2(p: int, a1: int, a2: int) -> int:
     """psi of Z_{p^{a1}} x Z_{p^{a2}}, 1 <= a1 <= a2: _rank2_form at x = p."""
-    _check_prime_exponent(p, a1, minimum=1)
+    _check_prime_exponent(p, a1, a2, minimum=1)
     if a2 < a1:
         raise ValueError(f"need a1 <= a2, got a1={a1}, a2={a2}")
     return _rank2_form(lambda k: p ** k, exact_div, a1, a2)
@@ -290,13 +339,19 @@ def psi_rank3(p: int, a1: int, a2: int, a3: int) -> int:
 
     Needs 1 <= a1 <= a2 <= a3.
     """
-    _check_prime_exponent(p, a1, minimum=1)
+    _check_prime_exponent(p, a1, a2, a3, minimum=1)
     if not a1 <= a2 <= a3:
         raise ValueError(f"need a1 <= a2 <= a3, got {a1}, {a2}, {a3}")
     return _rank3_form(lambda k: p ** k, exact_div, a1, a2, a3)
 
 
-def _check_prime_exponent(p: int, n: int, *, minimum: int) -> None:
+def _check_prime_exponent(p: int, n: int, *rest: int, minimum: int) -> None:
+    """Reject a float or bool (any non-int) prime or exponent, a p that is
+    not prime, and a first exponent n below minimum.
+    """
+    for value in (p, n, *rest):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"expected an int, got {value!r}")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if n < minimum:

@@ -505,3 +505,19 @@ def test_pool_size_is_bounded_by_block_count(monkeypatch):
     checkpoint = conjecture_sweep(2, 2500, workers=100000)
     assert checkpoint == conjecture_sweep(2, 2500)
     assert requested == [5, 3]
+
+
+def test_monotonicity_rejects_bool_and_float_input():
+    for n, p in ((True, 2), (3.0, 2), (2.5, 3), (3, 2.0), (3, 7.0), (3, True)):
+        with pytest.raises(ValueError):
+            monotonicity_check(n, p)
+
+
+def test_monotonicity_row_leaves_the_band_sum_cache_alone():
+    before = psi_core._psi_band_sum.cache_info().currsize
+    report = monotonicity_check(25, 991)
+    assert psi_core._psi_band_sum.cache_info().currsize == before
+    assert report.ok
+    assert [v for _, v in report.entries] == [
+        psi_core.psi_p_alt(psi_core.PGroupType(991, shape))
+        for shape in partitions_of(25)]

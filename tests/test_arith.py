@@ -114,3 +114,8 @@ def test_smallest_prime_factors():
 def test_smallest_prime_factors_rejects_bad_limit():
     with pytest.raises(ValueError):
         smallest_prime_factors(0)
+
+
+@pytest.mark.parametrize("n", [2.0, 3.0, 7.0, 7.5, True, False, "7", None])
+def test_is_prime_is_false_off_the_ints(n):
+    assert is_prime(n) is False

@@ -154,3 +154,25 @@ def test_rejects_n_zero():
         partitions_of(0)
     with pytest.raises(ValueError):
         list(iter_partitions(0))
+
+
+def test_partitions_of_40_is_the_lex_successor_chain():
+    chain = [Partition((1,) * 40)]
+    while (step := lex_successor(chain[-1])) is not None:
+        chain.append(step)
+    assert partitions_of(40) == chain
+    assert len(chain) == reference_partition_count(40)
+
+
+@pytest.mark.parametrize("parts", [(True,), (True, 2), (1, 1.0), (2.0,)])
+def test_partition_rejects_bool_and_float_parts(parts):
+    with pytest.raises(ValueError):
+        Partition(parts)
+
+
+@pytest.mark.parametrize("n", [True, False, 2.5, 3.0, "3", None])
+def test_iter_partitions_rejects_non_int_n(n):
+    with pytest.raises(ValueError):
+        partitions_of(n)
+    with pytest.raises(ValueError):
+        list(iter_partitions(n))

@@ -6,6 +6,7 @@ from ordersum.arith import exact_div
 from ordersum.oracle import psi_bruteforce
 from ordersum.partitions import Partition, partitions_of
 from ordersum.polynomial import psi_symbolic
+from ordersum import psi_core
 from ordersum.psi_core import (
     AbelianGroupType,
     GroupSpecError,
@@ -26,6 +27,7 @@ from ordersum.psi_core import (
     psi_p_alt,
     psi_rank2,
     psi_rank3,
+    psi_row,
 )
 from support import f_piecewise, reference_partition_count
 
@@ -365,3 +367,47 @@ def test_iter_type_components_is_the_group_type_order():
     # Each p-group component is built once and shared by the types using it.
     types = group_type_of_order(144)
     assert types[0].components[1] is types[2].components[1]
+
+
+@pytest.mark.parametrize("p", [2, 3, 997])
+def test_psi_row_matches_the_per_alpha_reference(p):
+    for n in range(1, 13):
+        shapes = partitions_of(n)
+        assert psi_row(p, shapes) == [psi_p_alt(PGroupType(p, s))
+                                      for s in shapes], n
+
+
+def test_psi_row_matches_the_cached_band_sum():
+    shapes = partitions_of(30)
+    assert psi_row(991, shapes) == [psi_core._psi_prime_power(991, s.parts)
+                                    for s in shapes]
+    assert psi_row(5, []) == []
+
+
+@pytest.mark.parametrize("p", [1, 4, 2.0, True])
+def test_psi_row_rejects_a_non_prime(p):
+    with pytest.raises(ValueError):
+        psi_row(p, partitions_of(3))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: psi_cyclic(2, 3.0),
+    lambda: psi_cyclic(2.0, 3),
+    lambda: psi_cyclic(2, True),
+    lambda: psi_cyclic(True, 3),
+    lambda: psi_elem_abelian(3, 2.0),
+    lambda: psi_elem_abelian(3.0, 2),
+    lambda: psi_near_elem(2, 3.0),
+    lambda: psi_near_elem(2.0, 3),
+    lambda: psi_rank2(2, 1.0, 2),
+    lambda: psi_rank2(2, 1, 2.0),
+    lambda: psi_rank2(2, 1, True),
+    lambda: psi_rank2(2.0, 1, 2),
+    lambda: psi_rank3(2, 1, 1, 2.0),
+    lambda: psi_rank3(2, 1, 1.0, 2),
+    lambda: psi_rank3(2, True, 1, 2),
+    lambda: psi_rank3(3.0, 1, 1, 2),
+])
+def test_closed_forms_reject_float_and_bool_arguments(call):
+    with pytest.raises(ValueError):
+        call()
