@@ -16,10 +16,11 @@ The scan kernel (_scan_range) never builds a type.  psi is multiplicative
 over the primes of the order, so for each p^e exactly dividing n it takes
 the list of psi values of the shapes of e (one value, p^2 - p + 1, when
 e = 1) and folds the lists together with one multiplication per type, in
-the type enumeration order.  A type's spec label is rebuilt from its
-index in that order, and only for the records kept.  Every value comes
-through _psi_prime_power, whose cache holds only shapes of order p^2 or
-more, so it is bounded by the primes up to the square root of the range.
+the type enumeration order.  A type's spec label is the type at its
+index in psi_core.iter_type_components, looked up and formatted only for
+the records kept.  Every value comes through _psi_prime_power, whose
+cache holds only shapes of order p^2 or more, so it is bounded by the
+primes up to the square root of the range.
 
 Long sweeps persist progress in a small JSON checkpoint.  Checkpoints are
 written atomically (temp file + rename), carry a format version that is
@@ -39,7 +40,7 @@ import os
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, islice
 from math import isqrt
 
 from .arith import is_prime, smallest_prime_factors
@@ -49,6 +50,8 @@ from .psi_core import (
     _shapes_of,
     format_components,
     group_type_of_order,
+    iter_type_components,
+    parse_decimal,
     psi_abelian,
     psi_cyclic,
     psi_elem_abelian,
@@ -68,6 +71,7 @@ __all__ = [
     "conjecture_sweep",
     "divisibility_search",
     "image_probe",
+    "json_text",
     "load_checkpoint",
     "monotonicity_check",
     "save_checkpoint",
@@ -148,11 +152,11 @@ def _get_str(obj: dict, key: str) -> str:
 
 
 def _get_int_string(obj: dict, key: str) -> int:
-    v = _get_str(obj, key)
-    # ASCII digits only: isdigit() also takes "²", which int() rejects.
-    if not (v.isascii() and v.isdigit()):
-        raise CheckpointError(f"field {key!r} must be a decimal string, got {v!r}")
-    return int(v)
+    try:
+        return parse_decimal(_get_str(obj, key))
+    except ValueError:
+        raise CheckpointError(f"field {key!r} must be a decimal string, "
+                              f"got {obj[key]!r}") from None
 
 
 @dataclass
@@ -207,16 +211,20 @@ class SweepCheckpoint:
         )
 
 
-def write_json_atomic(record: dict, path: str) -> None:
-    """Write a JSON object to a file atomically: temp file in place, then rename.
+def json_text(record: dict) -> str:
+    """The JSON text of a record: sorted keys, two-space indent, final newline.
 
-    Sorted keys, two-space indent and a final newline, so equal records
-    give equal bytes.  Checkpoints and sweep report files both go here.
+    Equal records give equal bytes.  Checkpoints, sweep report files and
+    the command line's --json output are all this text.
     """
+    return json.dumps(record, indent=2, sort_keys=True) + "\n"
+
+
+def write_json_atomic(record: dict, path: str) -> None:
+    """Write json_text(record) to a file atomically: temp file, then rename."""
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(record, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json_text(record))
     os.replace(tmp, path)
 
 
@@ -295,18 +303,9 @@ def _factor_block(start: int, stop: int) -> list[list[tuple[int, int]]]:
 
 
 def _type_label(factorization: list[tuple[int, int]], index: int) -> str:
-    """Spec label of the type at `index` in the order's list of types.
-
-    The index is a mixed-radix number whose digits pick a shape of each
-    exponent, the last prime's digit varying fastest (the order of
-    iter_type_components).
-    """
-    pairs = []
-    for p, e in reversed(factorization):
-        shapes = _shapes_of(e)
-        index, digit = divmod(index, len(shapes))
-        pairs.append((p, shapes[digit]))
-    return format_components(reversed(pairs))
+    """Spec label of the type at `index` in iter_type_components order."""
+    return format_components(
+        next(islice(iter_type_components(factorization), index, None)))
 
 
 def _scan_range(bounds: tuple[int, int]) -> SweepOutcome:
@@ -316,7 +315,10 @@ def _scan_range(bounds: tuple[int, int]) -> SweepOutcome:
     multiplicative, so the values of all types of an order are products
     of one value per prime: a prime of exponent 1 contributes a factor
     common to every type, and a prime of exponent e >= 2 one value per
-    shape of e.  Spec labels are formatted only for the records kept.
+    shape of e.  Folding the primes in increasing order, the last one
+    varying fastest, puts the values in iter_type_components order, so a
+    type's spec label is the type at its index in that order; labels are
+    looked up and formatted only for the records kept.
     """
     start, stop = bounds
     out = SweepOutcome()
@@ -418,7 +420,8 @@ def conjecture_sweep(start: int, stop: int,
     max_done advanced to stop.  The requested start must not leave a gap
     above the checkpoint's watermark; orders already covered are skipped,
     never rescanned.  When checkpoint_path is set the file is rewritten
-    after every block, so an interrupted sweep loses at most one block.
+    after every block, so an interrupted sweep loses at most one block;
+    when no block is left to scan it is written once, as it stands.
     """
     if start < 2:
         raise ValueError(f"start must be >= 2, got {start}")
@@ -442,7 +445,7 @@ def conjecture_sweep(start: int, stop: int,
         checkpoint.max_done = block_end
         if checkpoint_path is not None:
             save_checkpoint(checkpoint, checkpoint_path)
-    if checkpoint_path is not None:
+    if checkpoint_path is not None and effective > stop:
         save_checkpoint(checkpoint, checkpoint_path)
     return checkpoint
 

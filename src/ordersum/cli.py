@@ -17,19 +17,24 @@ Subcommands:
     monotonicity    --n N and --p P (both required), --checkpoint PATH
                     (report file)
 
-Every command takes --json.  Each sweep kind accepts only its own flags;
-argparse rejects any other, and range checks on flag values (--from >= 2,
---workers >= 1, --p prime, ...) happen while parsing.
+Every command takes --json; a sweep's report file holds the same JSON
+text.  Each sweep kind accepts only its own flags; argparse rejects any
+other, and range checks on flag values (--from >= 2, --workers >= 1,
+--p prime, ...) happen while parsing.  Every integer, in an argument, a
+--gen residue or a group spec, is written in ASCII decimal digits only
+(psi_core.parse_decimal): a sign, whitespace, "_" or a non-ASCII digit
+is a usage error.
 
 Exit codes: 0 no anomaly, 1 anomaly found (collision, divisibility hit,
 monotonicity violation, verify mismatch), 2 usage or input error, 3
 internal error (a soundness check, exact division or assertion failed).
+Run as a program (entry), it exits 141 without a traceback when the
+reader of its standard output closes the pipe early (`| head`).
 Large group-theoretic values appear in JSON output as exact decimal
 strings so nothing is ever rounded.
 """
 
 import argparse
-import json
 import os
 import sys
 from functools import cache
@@ -42,6 +47,7 @@ from .analysis import (
     SweepCheckpoint,
     conjecture_sweep,
     image_probe,
+    json_text,
     load_checkpoint,
     monotonicity_check,
     write_json_atomic,
@@ -59,6 +65,7 @@ from .psi_core import (
     component_moduli,
     format_group_spec,
     group_type_of_order,
+    parse_decimal,
     parse_group_spec,
     parse_shape,
     psi_abelian,
@@ -68,18 +75,24 @@ EXIT_OK = 0
 EXIT_ANOMALY = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
+EXIT_BROKEN_PIPE = 141
 
 
 class UsageError(Exception):
     """Bad flag combination or malformed value, reported as exit code 2."""
 
 
-def _emit(args, record: dict, human_lines: list[str]) -> None:
-    if args.json:
-        print(json.dumps(record, indent=2, sort_keys=True))
-    else:
-        for line in human_lines:
-            print(line)
+def _emit(args, record: dict, human_lines: list[str],
+          report: str | None = None) -> None:
+    # A report file holds the same JSON text that --json prints.
+    if report is not None:
+        write_json_atomic(record, report)
+        human_lines.append(f"report written to {report}")
+    # print() writes the final newline on its own.  Under python -u a write
+    # cut short by a closed pipe raises nothing, so it is that last write
+    # which raises the BrokenPipeError entry() reports.
+    print(json_text(record).removesuffix("\n") if args.json
+          else "\n".join(human_lines))
 
 
 def _elapsed_ms(t0: float) -> float:
@@ -191,18 +204,7 @@ def cmd_relative(args) -> int:
         raise UsageError(
             "the trivial group has no cyclic factors, so no generators "
             "can be given")
-    gens = []
-    for gi, text in enumerate(args.gen or [], 1):
-        residues = []
-        for token in text.split(","):
-            stripped = token.strip()
-            digits = stripped.removeprefix("-")
-            # ASCII digits only: isdigit() also takes "²", which int() rejects.
-            if not (digits.isascii() and digits.isdigit()):
-                raise UsageError(
-                    f"generator {gi}: {token!r} is not an integer")
-            residues.append(int(stripped))
-        gens.append(tuple(residues))
+    gens = args.gen or []
     for gi, g in enumerate(gens, 1):
         if len(g) != len(moduli):
             raise UsageError(
@@ -342,10 +344,7 @@ def _sweep_image(args) -> int:
         f"value 5 attained: {'NO' if not report.five_orders else sorted(set(report.five_orders))}",
         report.explanation,
     ]
-    if args.checkpoint is not None:
-        write_json_atomic(record, args.checkpoint)
-        lines.append(f"report written to {args.checkpoint}")
-    _emit(args, record, lines)
+    _emit(args, record, lines, report=args.checkpoint)
     return EXIT_ANOMALY if anomaly else EXIT_OK
 
 
@@ -376,30 +375,35 @@ def _sweep_monotonicity(args) -> int:
     ]
     for a, b in report.violations:
         lines.append(f"  violation: psi({a}) >= psi({b})")
-    if args.checkpoint is not None:
-        write_json_atomic(record, args.checkpoint)
-        lines.append(f"report written to {args.checkpoint}")
-    _emit(args, record, lines)
+    _emit(args, record, lines, report=args.checkpoint)
     return EXIT_OK if report.ok else EXIT_ANOMALY
 
 
 def _int_type(ok, what: str):
-    # An argparse type= callable: an integer for which ok(value) holds.
-    # Its error message becomes argparse's "argument --flag: ..." line.
+    # An argparse type= callable: an integer written in ASCII digits for
+    # which ok(value) holds.  Its error message becomes argparse's
+    # "argument --flag: ..." line.
     def parse(text: str) -> int:
         try:
-            value = int(text)
+            value = parse_decimal(text)
         except ValueError:
             value = None
         if value is None or not ok(value):
-            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+            raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
         return value
     return parse
 
 
+_NATURAL = _int_type(lambda n: n >= 0, "an integer >= 0")
 _POSITIVE = _int_type(lambda n: n >= 1, "an integer >= 1")
 _ORDER_FROM = _int_type(lambda n: n >= 2, "an integer >= 2")
 _PRIME = _int_type(is_prime, "a prime")
+
+
+def _generator(text: str) -> tuple[int, ...]:
+    # An argparse type= callable for --gen: comma-separated residues, each
+    # checked against its cyclic factor by cmd_relative.
+    return tuple(map(_NATURAL, text.split(",")))
 
 
 @cache
@@ -413,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     json_flag.add_argument("--json", action="store_true",
                            help="machine-readable output")
     enum_cap = argparse.ArgumentParser(add_help=False)
-    enum_cap.add_argument("--max-enum", type=int, default=DEFAULT_ENUM_CAP,
+    enum_cap.add_argument("--max-enum", type=_NATURAL, default=DEFAULT_ENUM_CAP,
                           help="largest group to enumerate "
                                "(default %(default)s)")
     workers = argparse.ArgumentParser(add_help=False)
@@ -451,7 +455,8 @@ def build_parser() -> argparse.ArgumentParser:
     r = sub.add_parser("relative", parents=[json_flag, enum_cap],
                        help="order-sum relative to a subgroup")
     r.add_argument("spec", help=spec_help)
-    r.add_argument("--gen", action="append", metavar="R1,R2,...",
+    r.add_argument("--gen", action="append", type=_generator,
+                   metavar="R1,R2,...",
                    help="subgroup generator, one residue per cyclic factor; "
                         "repeat for several generators")
     r.set_defaults(handler=cmd_relative, parser=r)
@@ -465,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
                              help=f"scan a range of orders for {about}")
         k.add_argument("--from", dest="from_", type=_ORDER_FROM, default=2,
                        metavar="N", help="first order (default 2)")
-        k.add_argument("--to", type=int, required=True, metavar="N",
+        k.add_argument("--to", type=_NATURAL, required=True, metavar="N",
                        help="last order")
         k.add_argument("--checkpoint", metavar="PATH",
                        help="progress file, rewritten after every block")
@@ -523,7 +528,15 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main(sys.argv[1:]))
+    try:
+        code = main(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout (`| head`).  Output still buffered would
+        # fail again at exit, so it goes to the null device instead.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

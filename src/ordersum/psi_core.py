@@ -54,6 +54,7 @@ __all__ = [
     "format_group_spec",
     "group_type_of_order",
     "iter_type_components",
+    "parse_decimal",
     "parse_group_spec",
     "parse_shape",
     "psi_abelian",
@@ -427,8 +428,21 @@ def _found(text: str, pos: int) -> str:
 
 
 # ASCII digits only: str.isdigit() also takes digits such as "²" that
-# int() rejects.
+# int() rejects, and int() itself takes "٧٢", "7_2", " 3" and "+3".
 _DIGITS = re.compile("[0-9]+")
+
+
+def parse_decimal(text: str) -> int:
+    """The integer spelled by `text`, which must be ASCII digits only.
+
+    The spec grammar's INT rule without its leading-zero check: every
+    integer the command line and the checkpoint reader take from text
+    comes through here.  Anything else (a sign, whitespace, "_" or a
+    non-ASCII digit) raises ValueError.
+    """
+    if _DIGITS.fullmatch(text) is None:
+        raise ValueError(f"not an ASCII decimal integer: {text!r}")
+    return int(text)
 
 
 def _read_int(text: str, pos: int, what: str) -> tuple[int, int]:

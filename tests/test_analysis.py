@@ -521,3 +521,26 @@ def test_monotonicity_row_leaves_the_band_sum_cache_alone():
     assert [v for _, v in report.entries] == [
         psi_core.psi_p_alt(psi_core.PGroupType(991, shape))
         for shape in partitions_of(25)]
+
+
+def test_checkpoint_is_written_once_per_block(tmp_path, monkeypatch):
+    # Five blocks give five writes; a resume with nothing left to scan
+    # writes the file once, unchanged.
+    path = str(tmp_path / "cp.json")
+    writes = []
+
+    def counted(checkpoint, where):
+        writes.append(checkpoint.max_done)
+        save_checkpoint(checkpoint, where)
+
+    monkeypatch.setattr(analysis, "save_checkpoint", counted)
+    conjecture_sweep(2, 501, checkpoint_path=path, block_size=100)
+    assert writes == [101, 201, 301, 401, 501]
+    with open(path, "rb") as fh:
+        first = fh.read()
+    writes.clear()
+    conjecture_sweep(2, 501, load_checkpoint(path), checkpoint_path=path,
+                     block_size=100)
+    assert writes == [501]
+    with open(path, "rb") as fh:
+        assert fh.read() == first

@@ -614,3 +614,61 @@ def test_module_entry_point_exit_codes():
     proc = run_module("sweep", "image", "--to", "10", "--from", "2")
     assert proc.returncode == 2
     assert "--from" in proc.stderr
+
+
+INTEGER_ARGUMENTS = {
+    "list": ("list", "{}"),
+    "--from": ("sweep", "conjecture", "--to", "100", "--from", "{}"),
+    "--to": ("sweep", "divisibility", "--to", "{}"),
+    "--workers": ("sweep", "image", "--to", "10", "--workers", "{}"),
+    "--n": ("sweep", "monotonicity", "--n", "{}", "--p", "2"),
+    "--p": ("sweep", "monotonicity", "--n", "3", "--p", "{}"),
+    "--max-enum": ("compute", "2", "--verify", "--max-enum", "{}"),
+}
+
+
+@pytest.mark.parametrize("text", ["٧٢", "7_2", " 3", "+3"])
+@pytest.mark.parametrize("argument", sorted(INTEGER_ARGUMENTS))
+def test_integer_arguments_are_ascii_digits_only(capsys, argument, text):
+    # int() takes Arabic-Indic digits, "_" separators, whitespace and a
+    # sign; an integer argument takes ASCII digits only.
+    argv = [a.format(text) for a in INTEGER_ARGUMENTS[argument]]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, ""), argv
+    assert "error:" in err, argv
+
+
+@pytest.mark.parametrize("text", ["٣", " 1", "1_0", "-1", "1,+1"])
+def test_relative_generator_residues_are_ascii_digits_only(capsys, text):
+    code, out, err = run(capsys, "relative", "2^[3]*3", "--gen", text)
+    assert (code, out) == (2, "")
+    assert "not an integer" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("sweep", "image", "--to", "30"),
+    ("sweep", "monotonicity", "--n", "5", "--p", "2"),
+])
+def test_report_file_is_the_json_output(capsys, tmp_path, argv):
+    path = tmp_path / "report.json"
+    code, out, _ = run(capsys, *argv, "--json", "--checkpoint", str(path))
+    assert code == 0
+    assert path.read_text(encoding="utf-8") == out
+
+
+def test_closed_stdout_pipe_exits_141_without_traceback():
+    # The reader takes a few bytes of a 160 kB record, then closes the
+    # pipe; the rest cannot be written.
+    proc = run_python(
+        "import os, subprocess, sys\n"
+        "code = 'from ordersum.cli import entry; entry()'\n"
+        "child = subprocess.Popen(\n"
+        "    [sys.executable, '-c', code, 'sweep', 'monotonicity',\n"
+        "     '--n', '25', '--p', '3', '--json'],\n"
+        "    stdout=subprocess.PIPE, stderr=subprocess.PIPE)\n"
+        "head = os.read(child.stdout.fileno(), 10)\n"
+        "child.stdout.close()\n"
+        "err = child.stderr.read()\n"
+        "print(child.wait(timeout=60), head[:1], repr(err))\n")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["141", "b'{'", "b''"]

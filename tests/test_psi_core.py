@@ -411,3 +411,11 @@ def test_psi_row_rejects_a_non_prime(p):
 def test_closed_forms_reject_float_and_bool_arguments(call):
     with pytest.raises(ValueError):
         call()
+
+
+def test_parse_decimal_takes_ascii_digits_only():
+    assert [psi_core.parse_decimal(t) for t in ("0", "7", "072", "3887")] == [
+        0, 7, 72, 3887]
+    for text in ("", "٧٢", "²", "7_2", " 3", "3 ", "3\n", "+3", "-3", "0x1"):
+        with pytest.raises(ValueError):
+            psi_core.parse_decimal(text)
