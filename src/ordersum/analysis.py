@@ -41,6 +41,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, islice
+from json.encoder import encode_basestring_ascii as _json_string
 from math import isqrt
 
 from .arith import is_prime, smallest_prime_factors
@@ -215,9 +216,50 @@ def json_text(record: dict) -> str:
     """The JSON text of a record: sorted keys, two-space indent, final newline.
 
     Equal records give equal bytes.  Checkpoints, sweep report files and
-    the command line's --json output are all this text.
+    the command line's --json output are all this text.  It is the text
+    json.dumps(record, indent=2, sort_keys=True) + "\n" gives, byte for
+    byte, for any record whose keys are strings.  json.dumps is not called
+    with an indent because the C encoder takes none, and the pure-Python
+    one it falls back to was the largest cost of a long --json record
+    after the order-sums themselves.  So the record is walked here:
+    containers by _json_chunks, strings and keys by the C string encoder,
+    other values by json.dumps without an indent.
     """
-    return json.dumps(record, indent=2, sort_keys=True) + "\n"
+    out: list[str] = []
+    _json_chunks(record, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _json_chunks(value, newline: str, out: list[str]) -> None:
+    # Appends the JSON text of value, whose lines after the first start
+    # with `newline` (a newline and the indent of value's own line).
+    if isinstance(value, str):
+        out.append(_json_string(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        lead = "[" + inner
+        for item in value:
+            out.append(lead)
+            _json_chunks(item, inner, out)
+            lead = "," + inner
+        out.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        lead = "{" + inner
+        for key, item in sorted(value.items()):
+            out.append(lead + _json_string(key) + ": ")
+            _json_chunks(item, inner, out)
+            lead = "," + inner
+        out.append(newline + "}")
+    else:
+        out.append(json.dumps(value))
 
 
 def write_json_atomic(record: dict, path: str) -> None:

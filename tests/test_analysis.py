@@ -332,6 +332,27 @@ def test_checkpoint_big_values_are_strings(tmp_path):
     assert isinstance(hit["order"], int)
 
 
+JSON_CORPUS = [
+    {},
+    {"empty dict": {}, "empty list": [], "empty tuple": ()},
+    {"b": [1, [2, [3, []]], {"x": {"y": {}}}], "a": ({"k": (4, 5)}, [])},
+    {"text": "Z/p × Z/p² — ψ", "astral": "\U0001d53e", "": ""},
+    {"quote\"key": "a \"quoted\" \\ back\\slash",
+     "control": "\x00\x01\x08\t\n\x0c\r\x1f\x7f", "slash": "a/b"},
+    {"flags": [True, False, None], "true": True, "none": None},
+    {"big": 10 ** 400, "negative": -(2 ** 200), "zero": 0, "one": [1]},
+    {"floats": [-0.0, 0.0, 1e300, -1e-300, 0.1, 2.5, float("inf"),
+                float("-inf"), float("nan")], "elapsed_ms": 12.345},
+    {"Z": 1, "a": 2, "B": 3, "é": 4, "aa": 5, "a a": 6, "10": 7, "9": 8},
+]
+
+
+@pytest.mark.parametrize("record", JSON_CORPUS)
+def test_json_text_is_the_indented_stdlib_text(record):
+    expected = json.dumps(record, indent=2, sort_keys=True) + "\n"
+    assert analysis.json_text(record) == expected
+
+
 def test_load_checkpoint_missing_file(tmp_path):
     with pytest.raises(CheckpointError):
         load_checkpoint(str(tmp_path / "absent.json"))

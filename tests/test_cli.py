@@ -109,6 +109,25 @@ def test_list_rows(capsys):
     assert {r["group"]: r["psi"] for r in record["rows"]} == expected
 
 
+def _definition_rows(n):
+    return [{"group": cli.format_group_spec(t), "psi": str(psi_abelian(t)),
+             "method": "theorem1"} for t in group_type_of_order(n)]
+
+
+def test_list_rows_follow_the_definition_route(capsys):
+    # Every row, in order, is the type group_type_of_order gives with its
+    # spec text and psi_abelian value: n <= 3000 (1, every prime and prime
+    # power there included), then orders of 3 and 4 primes.
+    orders = [*range(1, 3001), 2 ** 12 * 3 ** 5 * 5 ** 7,
+              2 ** 4 * 3 ** 3 * 5 ** 2 * 7 ** 6, 11 ** 8 * 13 ** 6 * 17 ** 5,
+              2 ** 3 * 3 ** 11 * 7 ** 4 * 11 ** 2, 1000003]
+    for n in orders:
+        code, record, _ = run_json(capsys, "list", str(n))
+        assert code == 0
+        assert record["count"] == len(record["rows"])
+        assert record["rows"] == _definition_rows(n), n
+
+
 def test_list_human_table(capsys):
     code, out, _ = run(capsys, "list", "4")
     assert code == 0
@@ -268,6 +287,27 @@ def test_sweep_flag_validation(capsys):
         code, _, err = run(capsys, *argv)
         assert code == 2, argv
         assert "error:" in err, argv
+
+
+def test_monotonicity_exponent_is_bounded(capsys, monkeypatch):
+    # The chain holds all p(n) partitions of n; past the bound the parser
+    # refuses n before monotonicity_check enumerates any of them.
+    seen = []
+
+    def chain(n, p):
+        seen.append(n)
+        raise cli.UsageError("stopped before enumerating")
+    monkeypatch.setattr(cli, "monotonicity_check", chain)
+    code, out, err = run(capsys, "sweep", "monotonicity", "--n", "51",
+                         "--p", "2")
+    assert (code, out, seen) == (2, "", [])
+    assert err.endswith("error: argument --n: '51' is not an integer "
+                        "from 1 to 50\n")
+    code, _, err = run(capsys, "sweep", "monotonicity", "--n", "50", "--p", "2")
+    assert (code, err, seen) == (2, "error: stopped before enumerating\n", [50])
+    code, out, _ = run(capsys, "sweep", "monotonicity", "--help")
+    assert code == 0
+    assert "from 1 to 50" in out
 
 
 @pytest.mark.parametrize("usage, argv, unknown", [
@@ -654,6 +694,21 @@ def test_report_file_is_the_json_output(capsys, tmp_path, argv):
     code, out, _ = run(capsys, *argv, "--json", "--checkpoint", str(path))
     assert code == 0
     assert path.read_text(encoding="utf-8") == out
+
+
+@pytest.mark.parametrize("argv", [
+    ("compute", "13^[1,1]*23", "--verify"),
+    ("list", "72"),
+    ("poly", "[1,2,3]"),
+    ("relative", "2^[1,2]", "--gen", "1,2"),
+    ("sweep", "conjecture", "--to", "300"),
+    ("sweep", "divisibility", "--from", "3880", "--to", "3890"),
+    ("sweep", "image", "--to", "30"),
+    ("sweep", "monotonicity", "--n", "6", "--p", "991"),
+])
+def test_json_output_is_the_indented_stdlib_text(capsys, argv):
+    _, out, _ = run(capsys, *argv, "--json")
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
 
 
 def test_closed_stdout_pipe_exits_141_without_traceback():
