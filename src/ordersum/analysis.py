@@ -38,12 +38,12 @@ changes any output.
 import json
 import os
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, islice
 from json.encoder import encode_basestring_ascii as _json_string
 from math import isqrt
 
+from ._record import FrozenRecord, MutableRecord
 from .arith import is_prime, smallest_prime_factors
 from .partitions import Partition, partitions_of
 from .psi_core import (
@@ -84,10 +84,10 @@ CHECKPOINT_VERSION = 1
 DEFAULT_BLOCK_SIZE = 1000
 
 
-@dataclass(frozen=True, slots=True)
-class CollisionRecord:
+class CollisionRecord(FrozenRecord):
     """Two distinct types of the same order with the same order-sum."""
 
+    __slots__ = ("order", "group_a", "group_b", "psi")
     order: int
     group_a: str
     group_b: str
@@ -105,10 +105,10 @@ class CollisionRecord:
                    psi=_get_int_string(obj, "psi"))
 
 
-@dataclass(frozen=True, slots=True)
-class DivisibleRecord:
+class DivisibleRecord(FrozenRecord):
     """A type whose order-sum is an exact multiple of the group order."""
 
+    __slots__ = ("order", "group", "psi", "quotient")
     order: int
     group: str
     psi: int
@@ -160,18 +160,21 @@ def _get_int_string(obj: dict, key: str) -> int:
                               f"got {obj[key]!r}") from None
 
 
-@dataclass
-class SweepCheckpoint:
+class SweepCheckpoint(MutableRecord):
     """Persistent state of a sweep: progress watermark plus found records.
 
     max_done is the largest order fully scanned; a sweep resumed from this
     state starts at max_done + 1.
     """
 
-    max_done: int
-    collisions: list[CollisionRecord] = field(default_factory=list)
-    divisible_hits: list[DivisibleRecord] = field(default_factory=list)
-    version: int = CHECKPOINT_VERSION
+    def __init__(self, max_done: int,
+                 collisions: list[CollisionRecord] | None = None,
+                 divisible_hits: list[DivisibleRecord] | None = None,
+                 version: int = CHECKPOINT_VERSION) -> None:
+        self.max_done = max_done
+        self.collisions = [] if collisions is None else collisions
+        self.divisible_hits = [] if divisible_hits is None else divisible_hits
+        self.version = version
 
     @classmethod
     def fresh(cls, start: int) -> "SweepCheckpoint":
@@ -287,16 +290,22 @@ def load_checkpoint(path: str) -> SweepCheckpoint:
     return SweepCheckpoint.from_json_obj(obj)
 
 
-@dataclass
-class SweepOutcome:
+class SweepOutcome(MutableRecord):
     """Everything one range scan observed, before any persistence."""
 
-    types_scanned: int = 0
-    collisions: list[CollisionRecord] = field(default_factory=list)
-    divisible_hits: list[DivisibleRecord] = field(default_factory=list)
-    odd_violations: list[tuple[int, str, int]] = field(default_factory=list)
-    bound_violations: list[tuple[int, str, int]] = field(default_factory=list)
-    five_orders: list[int] = field(default_factory=list)
+    def __init__(self, types_scanned: int = 0,
+                 collisions: list[CollisionRecord] | None = None,
+                 divisible_hits: list[DivisibleRecord] | None = None,
+                 odd_violations: list[tuple[int, str, int]] | None = None,
+                 bound_violations: list[tuple[int, str, int]] | None = None,
+                 five_orders: list[int] | None = None) -> None:
+        self.types_scanned = types_scanned
+        self.collisions = [] if collisions is None else collisions
+        self.divisible_hits = [] if divisible_hits is None else divisible_hits
+        self.odd_violations = [] if odd_violations is None else odd_violations
+        self.bound_violations = ([] if bound_violations is None
+                                 else bound_violations)
+        self.five_orders = [] if five_orders is None else five_orders
 
     def merge(self, other: "SweepOutcome") -> None:
         self.types_scanned += other.types_scanned
@@ -501,10 +510,11 @@ def divisibility_search(max_order: int, *, workers: int = 1) -> list[DivisibleRe
     return outcome.divisible_hits
 
 
-@dataclass(frozen=True, slots=True)
-class ImageReport:
+class ImageReport(FrozenRecord):
     """What the order-sum image over all orders <= max_order looks like."""
 
+    __slots__ = ("max_order", "types_scanned", "values_up_to_3", "all_odd",
+                 "bound_holds", "five_orders", "conclusive", "explanation")
     max_order: int
     types_scanned: int
     values_up_to_3: tuple[int, ...]
@@ -559,10 +569,11 @@ def image_probe(max_order: int, *, workers: int = 1) -> ImageReport:
     )
 
 
-@dataclass(frozen=True, slots=True)
-class MonotonicityReport:
+class MonotonicityReport(FrozenRecord):
     """Order-sums along the partition chain of p^n, in enumeration order."""
 
+    __slots__ = ("n", "p", "entries", "violations",
+                 "first_matches_flat_formula", "last_matches_cyclic_formula")
     n: int
     p: int
     entries: tuple[tuple[Partition, int], ...]

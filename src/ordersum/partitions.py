@@ -20,8 +20,9 @@ that can grow and refills the tail with ones, so the whole list is never
 materialized and no padded tuple is built.
 """
 
-from dataclasses import dataclass
-from typing import Iterator
+from collections.abc import Iterator
+
+from ._record import FrozenRecord
 
 __all__ = [
     "Partition",
@@ -34,22 +35,28 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class Partition:
+class Partition(FrozenRecord):
     """An integer partition; parts ascending, every part >= 1."""
 
+    __slots__ = ("parts",)
     parts: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if not self.parts:
+    def __init__(self, parts: tuple[int, ...]) -> None:
+        # Written out rather than inherited: the monotonicity row builds
+        # one Partition per partition of n, so this is a hot path, and a
+        # plain int skips both isinstance calls.
+        if not parts:
             raise ValueError("a partition needs at least one part")
         prev = 1
-        for a in self.parts:
-            if isinstance(a, bool) or not isinstance(a, int) or a < prev:
+        for a in parts:
+            if ((type(a) is not int
+                 and (isinstance(a, bool) or not isinstance(a, int)))
+                    or a < prev):
                 raise ValueError(
-                    f"parts must be ascending integers >= 1, got {self.parts!r}"
+                    f"parts must be ascending integers >= 1, got {parts!r}"
                 )
             prev = a
+        object.__setattr__(self, "parts", parts)
 
     @property
     def n(self) -> int:

@@ -11,8 +11,7 @@ All arithmetic is over Z.  Division is long division that insists on
 exactness at every step and raises ExactDivisionError otherwise.
 """
 
-from dataclasses import dataclass
-
+from ._record import FrozenRecord
 from .arith import ExactDivisionError
 from .partitions import Partition
 from .psi_core import _corollary2_forms, band_schedule
@@ -153,10 +152,10 @@ def psi_symbolic(shape: Partition) -> IntPoly:
     return IntPoly(coeffs)
 
 
-@dataclass(frozen=True, slots=True)
-class ClosedFormCheck:
+class ClosedFormCheck(FrozenRecord):
     """One closed form compared against the direct polynomial."""
 
+    __slots__ = ("family", "closed", "residual")
     family: str
     closed: IntPoly
     residual: IntPoly
@@ -166,10 +165,10 @@ class ClosedFormCheck:
         return not self.residual
 
 
-@dataclass(frozen=True, slots=True)
-class ClosedFormReport:
+class ClosedFormReport(FrozenRecord):
     """Every applicable closed form for one shape, with residuals."""
 
+    __slots__ = ("shape", "direct", "checks")
     shape: Partition
     direct: IntPoly
     checks: tuple[ClosedFormCheck, ...]

@@ -36,11 +36,11 @@ those forms is provably exact and is checked at runtime.
 """
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from math import prod
 
+from ._record import FrozenRecord
 from .arith import exact_div, factorize, is_prime
 from .partitions import Partition, partitions_of
 
@@ -69,17 +69,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class PGroupType:
+class PGroupType(FrozenRecord):
     """Type of a finite abelian p-group: a prime and a partition.
 
     shape (a_1 <= ... <= a_k) stands for Z_{p^{a_1}} x ... x Z_{p^{a_k}}.
     """
 
+    __slots__ = ("p", "shape")
     p: int
     shape: Partition
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
 
@@ -88,16 +88,16 @@ class PGroupType:
         return self.p ** self.shape.n
 
 
-@dataclass(frozen=True, slots=True)
-class AbelianGroupType:
+class AbelianGroupType(FrozenRecord):
     """Type of a finite abelian group: p-group components, primes increasing.
 
     The trivial group is the empty product, components == ().
     """
 
+    __slots__ = ("components",)
     components: tuple[PGroupType, ...]
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         primes = [c.p for c in self.components]
         if any(primes[i] >= primes[i + 1] for i in range(len(primes) - 1)):
             raise ValueError(f"component primes must be strictly increasing: {primes}")
