@@ -3,7 +3,7 @@
 The order-sum of a finite group is the sum of the orders of its elements.
 For abelian groups this package computes it exactly from the group's type
 (closed formulas over plain Python ints), symbolically as a polynomial in
-the prime, and by brute-force enumeration for independent verification.
+the prime, and by a definition-level oracle for independent verification.
 Range sweeps with checkpointing scan all types order by order.
 """
 

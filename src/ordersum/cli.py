@@ -458,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="order-sum of one group")
     c.add_argument("spec", help=spec_help)
     c.add_argument("--verify", action="store_true",
-                   help="cross-check by enumerating the whole group")
+                   help="cross-check by counting the group's elements by order")
     c.set_defaults(handler=cmd_compute, parser=c)
 
     l = sub.add_parser("list", parents=[json_flag],

@@ -2,18 +2,23 @@
 
 Everything here works on an explicit presentation of a finite abelian
 group as Z_{m_1} x ... x Z_{m_r} (component moduli, addition mod each
-modulus) and computes by visiting every element.  It is deliberately
-independent of the formula modules: no partitions, no p-group types, no
-closed forms.  The only import from the package is arith's integer
-factorization, which the relative-order walker uses to list the primes of
-an element order.
+modulus) and computes from the two facts that define element orders
+there: the residue r of Z_m has order m / gcd(m, r), and an element of a
+direct product has the lcm of its components' orders.  psi_bruteforce
+visits every residue of every factor and counts the group's elements by
+order; the relative-order walker visits every element.  It is
+deliberately independent of the formula modules: no totient, no
+partitions, no p-group types, no closed forms.  The only import from the
+package is arith's integer factorization, which the relative-order walker
+uses to list the primes of an element order.
 The formula side is tested against this module, never the other way round.
 
 Enumerations are guarded by an element-count cap (default 2**20) so a typo
 in a group spec cannot silently start a week-long loop.
 """
 
-from itertools import product, starmap
+from collections import Counter
+from itertools import product, repeat, starmap
 from math import gcd, lcm, prod
 
 from .arith import factorize
@@ -92,16 +97,30 @@ def element_order(moduli, element) -> int:
 
 
 def psi_bruteforce(moduli, *, max_enum: int = DEFAULT_ENUM_CAP) -> int:
-    """Sum of element orders by walking the whole group.
+    """Sum of element orders, from the group's count of elements by order.
 
-    The inner loop runs over precomputed per-component order tables, so
-    the cost is one lcm per element.
+    The count is built one cyclic factor at a time.  Every residue r of
+    Z_m is visited and its order m / gcd(m, r) tallied; an element of
+    A x Z_m has order lcm(a, b) for its components' orders a and b, so
+    N_{A x Z_m}(d) is the sum of N_A(a) * N_{Z_m}(b) over lcm(a, b) = d.
+    The cost is one gcd per residue of each factor plus one lcm per pair
+    of distinct orders, not one lcm per element.  The cap still applies
+    to the group order, the number of elements counted.
     """
     ms = _check_moduli(moduli)
     size = prod(ms)
     if size > max_enum:
         raise EnumerationCapError(size, max_enum)
-    return sum(_orders(ms, map(range, ms)))
+    counts = {1: 1}
+    for m in ms:
+        # residue r lands on gcd(m, r); its order is m // gcd(m, r)
+        tally = Counter(map(gcd, repeat(m, m), range(m)))
+        counts_next = Counter()
+        for a, count_a in counts.items():
+            for g, count_b in tally.items():
+                counts_next[lcm(a, m // g)] += count_a * count_b
+        counts = counts_next
+    return sum(d * count for d, count in counts.items())
 
 
 def subgroup_closure(moduli, generators, *,

@@ -82,6 +82,18 @@ def test_compute_verify_cap_exceeded(capsys):
     assert "error:" in err
 
 
+def test_compute_verify_cap_boundary(capsys):
+    code, out, err = run(capsys, "compute", "13^[1,1]*23", "--verify",
+                         "--max-enum", "3886")
+    assert (code, out) == (2, "")
+    assert err == ("error: enumeration of 3887 elements exceeds the cap of "
+                   "3886; raise the cap explicitly to force it\n")
+    code, record, _ = run_json(capsys, "compute", "13^[1,1]*23", "--verify",
+                               "--max-enum", "3887")
+    assert code == 0
+    assert record["verify"]["psi"] == "1107795"
+
+
 def test_compute_internal_error_exit_code(capsys, monkeypatch):
     def boom(group):
         raise AssertionError("deliberate failure for the exit-code test")

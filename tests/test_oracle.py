@@ -1,5 +1,8 @@
 """Tests for the brute-force oracle."""
 
+from itertools import product
+from math import gcd, lcm, prod
+
 import pytest
 
 from ordersum.oracle import (
@@ -98,6 +101,50 @@ def test_enumeration_cap():
     with pytest.raises(EnumerationCapError):
         psi_bruteforce((2,) * 21)
     assert DEFAULT_ENUM_CAP == 2**20
+
+
+# Every tuple of one or two moduli from 2..16, and every triple of at most
+# 128 elements: moduli that are not prime powers (6, 10, 12, 15), repeated
+# moduli and coprime mixes, each in every order.  The literal definition
+# costs psi(G) additions, so larger triples (572 million additions over all
+# of them) are left to the lcm walk below.
+_SMALL_MODULI = [ms for rank in (1, 2, 3)
+                 for ms in product(range(2, 17), repeat=rank)
+                 if rank < 3 or prod(ms) <= 128]
+
+
+def test_psi_bruteforce_equals_definition_on_small_moduli():
+    assert len(_SMALL_MODULI) == 15 + 15**2 + 415
+    for moduli in _SMALL_MODULI:
+        assert psi_bruteforce(moduli) == psi_by_definition(moduli), moduli
+
+
+def _psi_by_lcm_walk(moduli):
+    # one lcm of the component orders per element, element by element
+    return sum(lcm(*(m // gcd(m, r) for m, r in zip(moduli, e)))
+               for e in product(*(range(m) for m in moduli)))
+
+
+@pytest.mark.parametrize("moduli", [
+    (2,) * 16, (2**16,), (4, 8, 16, 32), (6, 10, 15, 7), (256, 256),
+    (3,) * 10, (12, 30, 20), (5, 25, 125), (2, 3, 5, 7, 11, 13),
+    (255, 257),
+])
+def test_psi_bruteforce_matches_lcm_walk(moduli):
+    assert prod(moduli) <= 2**16
+    assert psi_bruteforce(moduli) == _psi_by_lcm_walk(moduli)
+
+
+def test_enumeration_cap_boundary():
+    # the cap counts the group's elements, as the element walk did
+    assert psi_bruteforce((3, 5, 7), max_enum=105) == \
+        psi_by_definition((3, 5, 7))
+    with pytest.raises(EnumerationCapError) as info:
+        psi_bruteforce((3, 5, 7), max_enum=104)
+    assert (info.value.size, info.value.cap) == (105, 104)
+    assert str(info.value) == ("enumeration of 105 elements exceeds the cap "
+                               "of 104; raise the cap explicitly to force it")
+    assert psi_bruteforce((2,) * 20) == 2**21 - 1
 
 
 def test_subgroup_closure_examples():
