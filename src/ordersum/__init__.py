@@ -14,7 +14,9 @@ from .analysis import (
     DivisibleRecord,
     ImageReport,
     MonotonicityReport,
+    SoundnessError,
     SweepCheckpoint,
+    SweepOutcome,
     conjecture_sweep,
     divisibility_search,
     image_probe,
@@ -78,7 +80,9 @@ __all__ = [
     "MonotonicityReport",
     "PGroupType",
     "Partition",
+    "SoundnessError",
     "SweepCheckpoint",
+    "SweepOutcome",
     "component_moduli",
     "conjecture_sweep",
     "divisibility_search",

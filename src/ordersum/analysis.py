@@ -33,6 +33,16 @@ block and does not grow with the range.  Worker parallelism hands blocks to
 forked processes; a task is just the block's two bounds, so workers inherit
 no shared state.  Results are merged in block order, so worker count never
 changes any output.
+
+One codec reads and writes every object in a checkpoint.  A found record
+is written as {field: value} over its __slots__, with its order-sums as
+decimal strings (DECIMAL_FIELDS).  _read_json reads the root and each
+record by one rule: exactly the annotated fields, each of exactly its
+annotated type.  The reader then checks that every record describes an
+order the file says was scanned (2..max_done), that a hit's psi is its
+order times its quotient, and that a collision names two different
+groups.  Any defect raises CheckpointError, which names where in the file
+it was found (divisible_hits[0], ...).
 """
 
 import json
@@ -93,17 +103,6 @@ class CollisionRecord(FrozenRecord):
     group_b: str
     psi: int
 
-    def to_json_obj(self) -> dict:
-        return {"order": self.order, "group_a": self.group_a,
-                "group_b": self.group_b, "psi": str(self.psi)}
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "CollisionRecord":
-        return cls(order=_get_int(obj, "order"),
-                   group_a=_get_str(obj, "group_a"),
-                   group_b=_get_str(obj, "group_b"),
-                   psi=_get_int_string(obj, "psi"))
-
 
 class DivisibleRecord(FrozenRecord):
     """A type whose order-sum is an exact multiple of the group order."""
@@ -113,17 +112,6 @@ class DivisibleRecord(FrozenRecord):
     group: str
     psi: int
     quotient: int
-
-    def to_json_obj(self) -> dict:
-        return {"order": self.order, "group": self.group,
-                "psi": str(self.psi), "quotient": str(self.quotient)}
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "DivisibleRecord":
-        return cls(order=_get_int(obj, "order"),
-                   group=_get_str(obj, "group"),
-                   psi=_get_int_string(obj, "psi"),
-                   quotient=_get_int_string(obj, "quotient"))
 
 
 class CheckpointError(RuntimeError):
@@ -138,34 +126,74 @@ class SoundnessError(RuntimeError):
     """
 
 
-def _get_int(obj: dict, key: str) -> int:
-    v = obj.get(key)
-    if not isinstance(v, int) or isinstance(v, bool):
-        raise CheckpointError(f"field {key!r} must be an integer, got {v!r}")
-    return v
+# The record fields a checkpoint holds as decimal strings: order-sums grow
+# without bound, and a JSON reader need not keep a large number exact.
+DECIMAL_FIELDS = ("psi", "quotient")
+
+_JSON_KINDS = {dict: "an object", list: "a list", str: "a string",
+               int: "an integer", float: "a number", bool: "a boolean"}
 
 
-def _get_str(obj: dict, key: str) -> str:
-    v = obj.get(key)
-    if not isinstance(v, str):
-        raise CheckpointError(f"field {key!r} must be a string, got {v!r}")
-    return v
+def _record_json(record: FrozenRecord) -> dict:
+    """A found record as its checkpoint object: {field: value} over __slots__."""
+    return {name: str(value) if name in DECIMAL_FIELDS else value
+            for name, value in zip(type(record).__slots__, record._values())}
 
 
-def _get_int_string(obj: dict, key: str) -> int:
-    try:
-        return parse_decimal(_get_str(obj, key))
-    except ValueError:
-        raise CheckpointError(f"field {key!r} must be a decimal string, "
-                              f"got {obj[key]!r}") from None
+def _read_json(value, kind, where: str):
+    """A value decoded from a checkpoint file as `kind`, else CheckpointError.
+
+    `kind` is a field's annotated type: int, str, list[R], or a record
+    class R (the root is SweepCheckpoint), whose value must be an object
+    holding exactly R's annotated fields.  Types match exactly, so true is
+    not an integer; the DECIMAL_FIELDS are decimal strings, read by
+    parse_decimal.  `where` names the value in the file for the error:
+    root, max_done, divisible_hits[0].psi, ...
+    """
+    origin = getattr(kind, "__origin__", kind)
+    wanted = origin if origin in (int, str, list) else dict
+    if type(value) is not wanted:
+        raise CheckpointError(
+            f"checkpoint {where} must be {_JSON_KINDS[wanted]}, "
+            f"got {_JSON_KINDS.get(type(value), 'null')}")
+    if wanted is list:
+        return [_read_json(item, kind.__args__[0], f"{where}[{i}]")
+                for i, item in enumerate(value)]
+    if wanted is not dict:
+        return value
+    fields = kind.__annotations__
+    if value.keys() != fields.keys():
+        extra, missing = value.keys() - fields, fields.keys() - value.keys()
+        raise CheckpointError(
+            f"checkpoint {where} has unknown fields {sorted(extra)}" if extra
+            else f"checkpoint {where} is missing fields {sorted(missing)}")
+    prefix = "" if where == "root" else where + "."
+    args = {}
+    for name, field_kind in fields.items():
+        if name in DECIMAL_FIELDS:
+            text = _read_json(value[name], str, prefix + name)
+            try:
+                args[name] = parse_decimal(text)
+            except ValueError:
+                raise CheckpointError(
+                    f"checkpoint {prefix}{name} must be a decimal string, "
+                    f"got {text!r}") from None
+        else:
+            args[name] = _read_json(value[name], field_kind, prefix + name)
+    return kind(**args)
 
 
 class SweepCheckpoint(MutableRecord):
     """Persistent state of a sweep: progress watermark plus found records.
 
     max_done is the largest order fully scanned; a sweep resumed from this
-    state starts at max_done + 1.
+    state starts at max_done + 1.  The annotations are the file's fields.
     """
+
+    version: int
+    max_done: int
+    collisions: list[CollisionRecord]
+    divisible_hits: list[DivisibleRecord]
 
     def __init__(self, max_done: int,
                  collisions: list[CollisionRecord] | None = None,
@@ -185,34 +213,32 @@ class SweepCheckpoint(MutableRecord):
         return {
             "version": self.version,
             "max_done": self.max_done,
-            "collisions": [c.to_json_obj() for c in self.collisions],
-            "divisible_hits": [d.to_json_obj() for d in self.divisible_hits],
+            "collisions": [_record_json(c) for c in self.collisions],
+            "divisible_hits": [_record_json(d) for d in self.divisible_hits],
         }
 
     @classmethod
     def from_json_obj(cls, obj) -> "SweepCheckpoint":
-        if not isinstance(obj, dict):
-            raise CheckpointError(f"checkpoint root must be an object, got {type(obj).__name__}")
-        version = obj.get("version")
-        if version != CHECKPOINT_VERSION:
+        if type(obj) is dict and obj.get("version") != CHECKPOINT_VERSION:
             raise CheckpointError(
-                f"checkpoint version {version!r} is not supported "
+                f"checkpoint version {obj.get('version')!r} is not supported "
                 f"(this build reads version {CHECKPOINT_VERSION})")
-        expected = {"version", "max_done", "collisions", "divisible_hits"}
-        extra = set(obj) - expected
-        if extra:
-            raise CheckpointError(f"unknown checkpoint fields: {sorted(extra)}")
-        missing = expected - set(obj)
-        if missing:
-            raise CheckpointError(f"missing checkpoint fields: {sorted(missing)}")
+        checkpoint = _read_json(obj, cls, "root")
+        # Each record must describe an order the file says was scanned
+        # and agree with itself.
         for key in ("collisions", "divisible_hits"):
-            if not isinstance(obj[key], list):
-                raise CheckpointError(f"field {key!r} must be a list")
-        return cls(
-            max_done=_get_int(obj, "max_done"),
-            collisions=[CollisionRecord.from_json_obj(c) for c in obj["collisions"]],
-            divisible_hits=[DivisibleRecord.from_json_obj(d) for d in obj["divisible_hits"]],
-        )
+            for i, r in enumerate(getattr(checkpoint, key)):
+                if not 2 <= r.order <= checkpoint.max_done:
+                    problem = (f"order {r.order} is outside the scanned "
+                               f"orders 2..{checkpoint.max_done}")
+                elif key == "collisions" and r.group_a == r.group_b:
+                    problem = "group_a and group_b are the same group"
+                elif key == "divisible_hits" and r.psi != r.order * r.quotient:
+                    problem = "psi is not order times quotient"
+                else:
+                    continue
+                raise CheckpointError(f"checkpoint {key}[{i}]: {problem}")
+        return checkpoint
 
 
 def json_text(record: dict) -> str:
@@ -285,7 +311,9 @@ def load_checkpoint(path: str) -> SweepCheckpoint:
             obj = json.load(fh)
     except OSError as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers malformed JSON and bytes that are not UTF-8;
+        # RecursionError, arrays or objects nested too deep to decode.
         raise CheckpointError(f"checkpoint {path} is not valid JSON: {exc}") from exc
     return SweepCheckpoint.from_json_obj(obj)
 

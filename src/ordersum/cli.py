@@ -178,13 +178,14 @@ def cmd_list(args) -> int:
 def cmd_poly(args) -> int:
     shape = parse_shape(args.shape)
     t0 = perf_counter()
-    poly = psi_symbolic(shape)
     try:
         report = verify_closed_form(shape)
+    except ValueError:
+        poly, closed = psi_symbolic(shape), []
+    else:
+        poly = report.direct
         closed = [{"family": c.family, "match": c.matches,
                    "residual": str(c.residual)} for c in report.checks]
-    except ValueError:
-        closed = []
     elapsed = _elapsed_ms(t0)
     record = {
         "command": "poly",
@@ -284,8 +285,8 @@ def _sweep_counting(args) -> int:
     checkpoint = conjecture_sweep(start, args.to, checkpoint,
                                   workers=workers, checkpoint_path=path)
     elapsed = _elapsed_ms(t0)
-    collisions = [c.to_json_obj() for c in checkpoint.collisions]
-    hits = [d.to_json_obj() for d in checkpoint.divisible_hits]
+    saved = checkpoint.to_json_obj()
+    collisions, hits = saved["collisions"], saved["divisible_hits"]
     if kind == "conjecture":
         anomaly = bool(collisions)
     else:

@@ -401,6 +401,93 @@ def test_load_checkpoint_rejects_bad_types(tmp_path):
         load_checkpoint(str(path))
 
 
+# What each value of a checkpoint is replaced with in the mutation test.
+REPLACEMENTS = (None, True, 1, 1.5, "x", [], {})
+
+
+def _single_edits(value):
+    """Every copy of a JSON value with one edit, at any depth.
+
+    In an object: a key deleted, an unknown key added, or one value
+    replaced by each of REPLACEMENTS or by one of its own single edits.
+    In a list: one item replaced the same way.
+    """
+    if isinstance(value, dict):
+        for key in value:
+            yield {k: v for k, v in value.items() if k != key}
+            for new in REPLACEMENTS + tuple(_single_edits(value[key])):
+                yield {**value, key: new}
+        yield {**value, "unexpected": 0}
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            for new in REPLACEMENTS + tuple(_single_edits(item)):
+                yield value[:i] + [new] + value[i + 1:]
+
+
+def test_load_checkpoint_loads_or_refuses_every_single_edit(tmp_path):
+    valid = SweepCheckpoint(
+        4000, [CollisionRecord(4, "2^[1,1]", "2^[2]", 7)],
+        [DivisibleRecord(3887, "13^[1,1]*23", 1107795, 285)]).to_json_obj()
+    path, rewritten = tmp_path / "cp.json", tmp_path / "again.json"
+    loaded = refused = 0
+    for edited in _single_edits(valid):
+        path.write_text(json.dumps(edited))
+        try:
+            checkpoint = load_checkpoint(str(path))
+        except CheckpointError:
+            refused += 1
+            continue
+        # Whatever is accepted is kept whole: the file rewrites to itself.
+        assert type(checkpoint) is SweepCheckpoint
+        save_checkpoint(checkpoint, str(rewritten))
+        assert rewritten.read_text() == analysis.json_text(edited)
+        loaded += 1
+    # 33 edits in each of the three objects, 7 more for each list item.
+    assert loaded + refused == 3 * 33 + 2 * 7
+    assert loaded and refused
+
+
+@pytest.mark.parametrize("edit, where", [
+    ({"max_done": 3000}, "divisible_hits[0]"),
+    ({"max_done": 3}, "collisions[0]"),
+    ({"collisions": [{"order": 4, "group_a": "2^[2]", "group_b": "2^[2]",
+                      "psi": "11"}]}, "collisions[0]"),
+    ({"divisible_hits": [{"order": 3887, "group": "13^[1,1]*23",
+                          "psi": "1107795", "quotient": "286"}]},
+     "divisible_hits[0]"),
+    ({"divisible_hits": [{"order": 1, "group": "1", "psi": "1",
+                          "quotient": "1"}]}, "divisible_hits[0]"),
+])
+def test_load_checkpoint_refuses_records_that_do_not_fit_the_file(
+        tmp_path, edit, where):
+    # The made-up collision at order 4 is kept: the reader checks that a
+    # record fits the file, not the order-sums themselves.
+    path = tmp_path / "cp.json"
+    path.write_text(json.dumps({
+        "version": CHECKPOINT_VERSION, "max_done": 4000,
+        "collisions": [{"order": 4, "group_a": "2^[1,1]", "group_b": "2^[2]",
+                        "psi": "7"}],
+        "divisible_hits": [{"order": 3887, "group": "13^[1,1]*23",
+                            "psi": "1107795", "quotient": "285"}],
+        **edit}))
+    with pytest.raises(CheckpointError) as info:
+        load_checkpoint(str(path))
+    assert str(info.value).startswith(f"checkpoint {where}: ")
+
+
+def test_package_exports_every_analysis_class():
+    # scan_orders returns a SweepOutcome and the sweeps raise
+    # SoundnessError, so a caller of the package needs both names.
+    import ordersum
+
+    classes = [name for name in analysis.__all__
+               if isinstance(getattr(analysis, name), type)]
+    assert {"SweepOutcome", "SoundnessError"} <= set(classes)
+    for name in classes:
+        assert getattr(ordersum, name) is getattr(analysis, name)
+        assert name in ordersum.__all__
+
+
 def test_resume_is_byte_identical(tmp_path):
     # split the run just past the first divisibility hit at 3887, so the
     # interrupted file already holds a record that must survive the resume

@@ -508,6 +508,87 @@ def test_sweep_resume_rejects_non_ascii_digits(capsys, tmp_path):
     assert "decimal string" in err
 
 
+def _checkpoint_bytes(**edit) -> bytes:
+    # A valid divisibility checkpoint through order 3900, with one edit.
+    return json.dumps({
+        "version": CHECKPOINT_VERSION, "max_done": 3900, "collisions": [],
+        "divisible_hits": [{"order": 3887, "group": "13^[1,1]*23",
+                            "psi": "1107795", "quotient": "285"}],
+        **edit}).encode()
+
+
+DAMAGED_CHECKPOINTS = {
+    "non-object entry": (_checkpoint_bytes(collisions=[7]), "collisions[0]"),
+    "unknown record key": (_checkpoint_bytes(divisible_hits=[{
+        "order": 3887, "group": "13^[1,1]*23", "psi": "1107795",
+        "quotient": "285", "note": "x"}]), "divisible_hits[0]"),
+    "version true": (_checkpoint_bytes(version=True), "version"),
+    "hit above max_done": (_checkpoint_bytes(max_done=10),
+                           "divisible_hits[0]"),
+    "psi not order times quotient": (_checkpoint_bytes(divisible_hits=[{
+        "order": 4, "group": "2^[2]", "psi": "11", "quotient": "1"}]),
+        "divisible_hits[0]"),
+    "not UTF-8": (b"\xff{}", "PATH"),
+    "nested too deep": (b"[" * 100000 + b"]" * 100000, "PATH"),
+}
+
+
+@pytest.mark.parametrize("case", DAMAGED_CHECKPOINTS)
+def test_sweep_resume_refuses_damaged_checkpoint(capsys, tmp_path, case):
+    content, where = DAMAGED_CHECKPOINTS[case]
+    path = tmp_path / "cp.json"
+    path.write_bytes(content)
+    code, out, err = run(capsys, "sweep", "divisibility", "--to", "4000",
+                         "--checkpoint", str(path), "--resume")
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: checkpoint ")
+    assert where.replace("PATH", str(path)) in err
+    assert path.read_bytes() == content
+
+
+def test_damaged_checkpoint_is_refused_under_optimize(tmp_path):
+    path = tmp_path / "cp.json"
+    path.write_bytes(DAMAGED_CHECKPOINTS["non-object entry"][0])
+    argv = ["sweep", "divisibility", "--to", "4000", "--checkpoint",
+            str(path), "--resume"]
+    proc = run_python("import sys\n"
+                      "from ordersum.cli import entry\n"
+                      "print(sys.flags.optimize, flush=True)\n"
+                      f"sys.argv[1:] = {argv!r}\n"
+                      "entry()\n", "-O")
+    assert proc.returncode == 2
+    assert proc.stdout == "1\n"
+    assert proc.stderr.splitlines() == [
+        "error: checkpoint collisions[0] must be an object, got an integer"]
+
+
+def test_sweep_json_lists_are_the_checkpoint_lists(capsys, tmp_path):
+    path = tmp_path / "cp.json"
+    code, record, _ = run_json(capsys, "sweep", "divisibility", "--to", "4000",
+                               "--checkpoint", str(path))
+    assert code == 1
+    saved = json.loads(path.read_text())
+    assert record["divisible_hits"] == saved["divisible_hits"] != []
+    assert record["collisions"] == saved["collisions"]
+
+
+def test_poly_builds_its_polynomial_once(capsys, monkeypatch):
+    # A covered shape takes its polynomial from the closed-form report;
+    # only a shape no closed form covers calls psi_symbolic itself.
+    calls = []
+    real = cli.psi_symbolic
+    monkeypatch.setattr(cli, "psi_symbolic",
+                        lambda shape: calls.append(shape) or real(shape))
+    for text, covered in (("[1,2]", True), ("[1,1,2,3]", False)):
+        calls.clear()
+        code, record, _ = run_json(capsys, "poly", text)
+        assert code == 0
+        assert bool(record["closed_forms"]) == covered
+        assert len(calls) == (0 if covered else 1)
+
+
 def test_sweep_resume_bytes_match_single_run(capsys, tmp_path):
     full = str(tmp_path / "full.json")
     split = str(tmp_path / "split.json")
