@@ -42,11 +42,13 @@ annotated type.  The reader then checks that every record describes an
 order the file says was scanned (2..max_done), that a hit's psi is its
 order times its quotient, and that a collision names two different
 groups.  Any defect raises CheckpointError, which names where in the file
-it was found (divisible_hits[0], ...).
+it was found (divisible_hits[0], ...) and shows at most the first 20
+characters of a value read from it.
 """
 
 import json
 import os
+import sys
 from bisect import bisect_right
 from functools import lru_cache
 from itertools import combinations, islice
@@ -134,6 +136,19 @@ _JSON_KINDS = {dict: "an object", list: "a list", str: "a string",
                int: "an integer", float: "a number", bool: "a boolean"}
 
 
+def _shown(value) -> str:
+    """A value read from a checkpoint file, as an error message shows it.
+
+    Its repr, cut to the first 20 characters of a string (or of another
+    value's repr) plus the length, so any file gives a short message.
+    """
+    text = value if type(value) is str else repr(value)
+    if len(text) <= 20:
+        return repr(value)
+    head = repr(text[:20]) if type(value) is str else text[:20]
+    return f"{head}... ({len(text)} characters)"
+
+
 def _record_json(record: FrozenRecord) -> dict:
     """A found record as its checkpoint object: {field: value} over __slots__."""
     return {name: str(value) if name in DECIMAL_FIELDS else value
@@ -165,7 +180,8 @@ def _read_json(value, kind, where: str):
     if value.keys() != fields.keys():
         extra, missing = value.keys() - fields, fields.keys() - value.keys()
         raise CheckpointError(
-            f"checkpoint {where} has unknown fields {sorted(extra)}" if extra
+            f"checkpoint {where} has unknown fields "
+            f"[{', '.join(map(_shown, sorted(extra)))}]" if extra
             else f"checkpoint {where} is missing fields {sorted(missing)}")
     prefix = "" if where == "root" else where + "."
     args = {}
@@ -175,9 +191,13 @@ def _read_json(value, kind, where: str):
             try:
                 args[name] = parse_decimal(text)
             except ValueError:
+                # Only the interpreter's int-string limit refuses digits.
+                problem = (f"has {len(text)} digits, over this interpreter's "
+                           f"limit of {sys.get_int_max_str_digits()}"
+                           if text.isascii() and text.isdigit() else
+                           f"must be a decimal string, got {_shown(text)}")
                 raise CheckpointError(
-                    f"checkpoint {prefix}{name} must be a decimal string, "
-                    f"got {text!r}") from None
+                    f"checkpoint {prefix}{name} {problem}") from None
         else:
             args[name] = _read_json(value[name], field_kind, prefix + name)
     return kind(**args)
@@ -221,16 +241,16 @@ class SweepCheckpoint(MutableRecord):
     def from_json_obj(cls, obj) -> "SweepCheckpoint":
         if type(obj) is dict and obj.get("version") != CHECKPOINT_VERSION:
             raise CheckpointError(
-                f"checkpoint version {obj.get('version')!r} is not supported "
-                f"(this build reads version {CHECKPOINT_VERSION})")
+                f"checkpoint version {_shown(obj.get('version'))} is not "
+                f"supported (this build reads version {CHECKPOINT_VERSION})")
         checkpoint = _read_json(obj, cls, "root")
         # Each record must describe an order the file says was scanned
         # and agree with itself.
         for key in ("collisions", "divisible_hits"):
             for i, r in enumerate(getattr(checkpoint, key)):
                 if not 2 <= r.order <= checkpoint.max_done:
-                    problem = (f"order {r.order} is outside the scanned "
-                               f"orders 2..{checkpoint.max_done}")
+                    problem = (f"order {_shown(r.order)} is outside the "
+                               f"scanned orders 2..{_shown(checkpoint.max_done)}")
                 elif key == "collisions" and r.group_a == r.group_b:
                     problem = "group_a and group_b are the same group"
                 elif key == "divisible_hits" and r.psi != r.order * r.quotient:
@@ -292,11 +312,20 @@ def _json_chunks(value, newline: str, out: list[str]) -> None:
 
 
 def write_json_atomic(record: dict, path: str) -> None:
-    """Write json_text(record) to a file atomically: temp file, then rename."""
+    """Write json_text(record) to a file atomically: temp file, then rename.
+
+    A failed write raises CheckpointError("cannot write PATH: reason") and
+    leaves no temp file behind.
+    """
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(json_text(record))
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(json_text(record))
+        os.replace(tmp, path)
+    except OSError as exc:
+        if os.path.isfile(tmp):
+            os.remove(tmp)
+        raise CheckpointError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def save_checkpoint(checkpoint: SweepCheckpoint, path: str) -> None:
@@ -438,6 +467,8 @@ def _scan_range(bounds: tuple[int, int]) -> SweepOutcome:
 
 def _iter_block_outcomes(start: int, stop: int, workers: int, block_size: int):
     """Yield (last_order_of_block, SweepOutcome) in ascending block order."""
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     # Blocks are made as they are scanned, so memory does not grow with
     # the number of blocks.
     starts = range(start, stop + 1, block_size)
@@ -467,8 +498,6 @@ def scan_orders(start: int, stop: int, *, workers: int = 1,
     """
     if start < 1:
         raise ValueError(f"start must be >= 1, got {start}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     total = SweepOutcome()
     for _, outcome in _iter_block_outcomes(start, stop, workers, block_size):
         total.merge(outcome)

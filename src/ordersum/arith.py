@@ -4,15 +4,14 @@ Everything here works on plain Python ints, so results stay exact at any
 size.  No floats anywhere.
 """
 
-from math import gcd, isqrt, lcm
+# gcd and lcm are math's: importable from here, but not exported.
+from math import gcd, isqrt, lcm  # noqa: F401
 
 __all__ = [
     "ExactDivisionError",
     "exact_div",
     "factorize",
-    "gcd",
     "is_prime",
-    "lcm",
     "smallest_prime_factors",
 ]
 

@@ -26,8 +26,9 @@ other, and range checks on flag values (--from >= 2, --workers >= 1,
 is a usage error.
 
 Exit codes: 0 no anomaly, 1 anomaly found (collision, divisibility hit,
-monotonicity violation, verify mismatch), 2 usage or input error, 3
-internal error (a soundness check, exact division or assertion failed).
+monotonicity violation, verify mismatch), 2 usage or input error (a
+damaged checkpoint, a path that cannot be written), 3 internal error
+(a soundness check, exact division or assertion failed).
 Run as a program (entry), it exits 141 without a traceback when the
 reader of its standard output closes the pipe early (`| head`).
 Large group-theoretic values appear in JSON output as exact decimal

@@ -1,6 +1,7 @@
 """Tests for sweeps, checkpoints, and the chain/image reports."""
 
 import json
+import sys
 import tracemalloc
 from itertools import combinations
 from math import isqrt, prod
@@ -486,6 +487,81 @@ def test_package_exports_every_analysis_class():
     for name in classes:
         assert getattr(ordersum, name) is getattr(analysis, name)
         assert name in ordersum.__all__
+
+
+# The names the package exported when its list was still kept by hand.
+HAND_KEPT_EXPORTS = (
+    "AbelianGroupType CheckpointError ClosedFormReport CollisionRecord "
+    "DEFAULT_ENUM_CAP DivisibleRecord EnumerationCapError ExactDivisionError "
+    "GroupSpecError ImageReport IntPoly MonotonicityReport PGroupType "
+    "Partition SoundnessError SweepCheckpoint SweepOutcome component_moduli "
+    "conjecture_sweep divisibility_search element_order exact_div f_eval "
+    "factorize format_group_spec from_padded_tuple group_type_of_order "
+    "image_probe is_prime iter_partitions lex_compare lex_successor "
+    "load_checkpoint monotonicity_check parse_group_spec partitions_of "
+    "psi_abelian psi_bruteforce psi_cyclic psi_elem_abelian psi_near_elem "
+    "psi_p psi_p_alt psi_rank2 psi_rank3 psi_relative psi_symbolic "
+    "relative_order save_checkpoint scan_orders subgroup_closure "
+    "to_padded_tuple verify_closed_form __version__").split()
+
+
+def test_package_exports_every_module_name():
+    import ordersum
+    from ordersum import arith, oracle, partitions, polynomial
+
+    assert len(HAND_KEPT_EXPORTS) == 54
+    assert len(set(ordersum.__all__)) == len(ordersum.__all__)
+    assert set(HAND_KEPT_EXPORTS) <= set(ordersum.__all__)
+    for module in (analysis, arith, oracle, partitions, polynomial, psi_core):
+        for name in module.__all__:
+            assert name in ordersum.__all__, name
+            assert getattr(ordersum, name) is getattr(module, name), name
+    # gcd and lcm are math's own functions, not the package's.
+    assert not {"gcd", "lcm"} & set(ordersum.__all__)
+
+
+@pytest.mark.parametrize("workers", [0, -1])
+@pytest.mark.parametrize("sweep, args", [
+    (scan_orders, (2, 10)),
+    (conjecture_sweep, (2, 10)),
+    (divisibility_search, (10,)),
+    (image_probe, (10,)),
+])
+def test_every_sweep_refuses_fewer_than_one_worker(sweep, args, workers):
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        sweep(*args, workers=workers)
+
+
+@pytest.mark.parametrize("edit, problem", [
+    ({"psi": "1" * 5000}, "over this interpreter's limit of 4300"),
+    ({"psi": "x" * 10**6}, "must be a decimal string, got 'xxxx"),
+    ({"k" * 10**6: 1}, "unknown fields ['kkkkkkkkkkkkkkkkkkkk'... (1000000 "),
+], ids=["5000 digits", "1 MB non-digit psi", "1 MB unknown key"])
+def test_checkpoint_errors_show_a_bounded_value(tmp_path, edit, problem):
+    path = tmp_path / "cp.json"
+    path.write_text(json.dumps({
+        "version": CHECKPOINT_VERSION, "max_done": 4000, "collisions": [],
+        "divisible_hits": [{"order": 3887, "group": "13^[1,1]*23",
+                            "psi": "1107795", "quotient": "285", **edit}]}))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(CheckpointError) as info:
+            load_checkpoint(str(path))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert problem in str(info.value)
+    assert len(str(info.value)) < 200
+
+
+def test_checkpoint_version_error_shows_a_bounded_value(tmp_path):
+    path = tmp_path / "cp.json"
+    path.write_text(json.dumps({"version": "v" * 10**5}))
+    with pytest.raises(CheckpointError) as info:
+        load_checkpoint(str(path))
+    assert str(info.value).startswith(
+        "checkpoint version 'vvvvvvvvvvvvvvvvvvvv'... (100000 characters) ")
+    assert len(str(info.value)) < 200
 
 
 def test_resume_is_byte_identical(tmp_path):

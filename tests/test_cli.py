@@ -548,6 +548,35 @@ def test_sweep_resume_refuses_damaged_checkpoint(capsys, tmp_path, case):
     assert path.read_bytes() == content
 
 
+def test_sweep_resume_shows_a_bounded_value(capsys, tmp_path):
+    path = tmp_path / "cp.json"
+    path.write_bytes(_checkpoint_bytes(divisible_hits=[{
+        "order": 3887, "group": "13^[1,1]*23", "psi": "x" * 10**6,
+        "quotient": "285"}]))
+    code, out, err = run(capsys, "sweep", "divisibility", "--to", "4000",
+                         "--checkpoint", str(path), "--resume")
+    assert (code, out) == (2, "")
+    assert err == ("error: checkpoint divisible_hits[0].psi must be a decimal "
+                   "string, got 'xxxxxxxxxxxxxxxxxxxx'... (1000000 characters)\n")
+    assert len(err) < 200
+
+
+@pytest.mark.parametrize("kind, target", [
+    ("divisibility", "missing/x.json"),
+    ("image", "DIR"),
+])
+def test_unwritable_checkpoint_path_exits_2(tmp_path, kind, target):
+    (tmp_path / "DIR").mkdir()
+    path = tmp_path / target
+    proc = run_module("sweep", kind, "--to", "100", "--checkpoint", str(path))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(f"error: cannot write {path}: ")
+    assert len(proc.stderr.splitlines()) == 1
+    assert "Traceback" not in proc.stderr
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
 def test_damaged_checkpoint_is_refused_under_optimize(tmp_path):
     path = tmp_path / "cp.json"
     path.write_bytes(DAMAGED_CHECKPOINTS["non-object entry"][0])
