@@ -132,6 +132,9 @@ class SoundnessError(RuntimeError):
 # without bound, and a JSON reader need not keep a large number exact.
 DECIMAL_FIELDS = ("psi", "quotient")
 
+# An error names at most this many unknown fields, then their count.
+_FIELDS_SHOWN = 3
+
 _JSON_KINDS = {dict: "an object", list: "a list", str: "a string",
                int: "an integer", float: "a number", bool: "a boolean"}
 
@@ -179,10 +182,14 @@ def _read_json(value, kind, where: str):
     fields = kind.__annotations__
     if value.keys() != fields.keys():
         extra, missing = value.keys() - fields, fields.keys() - value.keys()
+        if extra:
+            named = [_shown(key) for key in sorted(extra)[:_FIELDS_SHOWN]]
+            if len(extra) > _FIELDS_SHOWN:
+                named.append(f"... ({len(extra)} in all)")
+            raise CheckpointError(
+                f"checkpoint {where} has unknown fields [{', '.join(named)}]")
         raise CheckpointError(
-            f"checkpoint {where} has unknown fields "
-            f"[{', '.join(map(_shown, sorted(extra)))}]" if extra
-            else f"checkpoint {where} is missing fields {sorted(missing)}")
+            f"checkpoint {where} is missing fields {sorted(missing)}")
     prefix = "" if where == "root" else where + "."
     args = {}
     for name, field_kind in fields.items():
@@ -315,9 +322,10 @@ def write_json_atomic(record: dict, path: str) -> None:
     """Write json_text(record) to a file atomically: temp file, then rename.
 
     A failed write raises CheckpointError("cannot write PATH: reason") and
-    leaves no temp file behind.
+    leaves no temp file behind.  The temp file is PATH.PID.tmp, unique to
+    the writing process, so nothing left at PATH.tmp is in its way.
     """
-    tmp = path + ".tmp"
+    tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
             fh.write(json_text(record))

@@ -6,20 +6,23 @@ modulus) and computes from the two facts that define element orders
 there: the residue r of Z_m has order m / gcd(m, r), and an element of a
 direct product has the lcm of its components' orders.  psi_bruteforce
 visits every residue of every factor and counts the group's elements by
-order; the relative-order walker visits every element.  It is
-deliberately independent of the formula modules: no totient, no
-partitions, no p-group types, no closed forms.  The only import from the
-package is arith's integer factorization, which the relative-order walker
-uses to list the primes of an element order.
+order; psi_relative visits every element of the subgroup and counts the
+group's elements by relative order.  It is deliberately independent of
+the formula modules: no totient, no partitions, no p-group types, no
+closed forms.  The only import from the package is arith's integer
+factorization, which lists the primes of an element order for
+relative_order and the divisors of the exponent for psi_relative.
 The formula side is tested against this module, never the other way round.
 
-Enumerations are guarded by an element-count cap (default 2**20) so a typo
-in a group spec cannot silently start a week-long loop.
+Enumerations are guarded by an element-count cap (default 2**20) on the
+group order, so a typo in a group spec cannot silently start a week-long
+loop.
 """
 
 from collections import Counter
-from itertools import product, repeat, starmap
+from itertools import repeat
 from math import gcd, lcm, prod
+from operator import mod
 
 from .arith import factorize
 
@@ -75,16 +78,6 @@ def group_order(moduli) -> int:
     return prod(_check_moduli(moduli))
 
 
-def _orders(ms: tuple[int, ...], residues):
-    # Additive orders of the elements of the product of the residue lists,
-    # in itertools.product order.  In Z_m the residue r has order
-    # m / gcd(m, r), and the order in a direct product is the lcm over
-    # components; each residue's gcd is taken once, so an element costs one
-    # lcm.
-    tables = [[m // gcd(m, r) for r in rs] for m, rs in zip(ms, residues)]
-    return starmap(lcm, product(*tables))
-
-
 def element_order(moduli, element) -> int:
     """Additive order of an element: lcm of the per-component orders.
 
@@ -93,7 +86,7 @@ def element_order(moduli, element) -> int:
     """
     ms = _check_moduli(moduli)
     e = _check_element(ms, element)
-    return next(_orders(ms, ([r] for r in e)))
+    return lcm(*(m // gcd(m, r) for m, r in zip(ms, e)))
 
 
 def psi_bruteforce(moduli, *, max_enum: int = DEFAULT_ENUM_CAP) -> int:
@@ -150,24 +143,6 @@ def subgroup_closure(moduli, generators, *,
     return frozenset(seen)
 
 
-def _descend(ms: tuple[int, ...], subgroup, e: tuple[int, ...], order: int,
-             primes) -> int:
-    # Least m >= 1 with m * e in the subgroup, given order = ord(e).  The m
-    # with m * e in H are the multiples of that least one, d, so d | m holds
-    # throughout: d still divides m / q exactly when (m / q) * e is in H,
-    # and once that fails m and d agree at q, which later primes leave
-    # alone.  A prime not dividing m is passed over, so `primes` may be any
-    # superset of the primes of ord(e).
-    m = order
-    for q in primes:
-        while m % q == 0:
-            k = m // q
-            if tuple([k * x % mod for x, mod in zip(e, ms)]) not in subgroup:
-                break
-            m = k
-    return m
-
-
 def relative_order(moduli, subgroup, element) -> int:
     """Smallest m >= 1 with m * element inside the subgroup.
 
@@ -185,18 +160,36 @@ def relative_order(moduli, subgroup, element) -> int:
     identity = (0,) * len(ms)
     if identity not in subgroup:
         raise ValueError("subgroup does not contain the identity")
-    order = element_order(ms, e)
-    return _descend(ms, subgroup, e, order, [q for q, _ in factorize(order)])
+    # The m with m * e in H are the multiples of the least one, d, so d | m
+    # holds throughout: d still divides m / q exactly when (m / q) * e is in
+    # H, and once that fails m and d agree at q, which later primes leave
+    # alone.
+    m = element_order(ms, e)
+    for q, _ in factorize(m):
+        while m % q == 0:
+            k = m // q
+            if tuple([k * x % n for x, n in zip(e, ms)]) not in subgroup:
+                break
+            m = k
+    return m
 
 
 def psi_relative(moduli, subgroup, *, max_enum: int = DEFAULT_ENUM_CAP) -> int:
     """Sum over the whole group of the order of each element relative to
     the subgroup.
 
-    Every element is visited and its relative order found as in
-    relative_order, so the subgroup must be closed under addition.  With
-    the trivial subgroup this equals psi_bruteforce; with the whole group
-    it equals the group order.
+    Counted by relative order, not element by element.  The g with d * g
+    in H are the preimage of H under g -> d * g, whose kernel G[d] has
+    prod gcd(d, m_i) elements, and h lies in the image dG exactly when
+    gcd(d, m_i) divides h_i in every component, so there are
+    |G[d]| * |H & dG| of them.  Membership of h in dG depends only on the
+    tuple of gcd(h_i, m_i), so H is tallied by that tuple once, and each
+    divisor d of the exponent lcm(m_i) costs one pass over the tally.
+    Every relative order divides the exponent; taking away the g whose
+    relative order is a proper divisor of d leaves those of relative order
+    exactly d.  The subgroup must be closed under addition, and the cap
+    applies to the group order.  With the trivial subgroup this equals
+    psi_bruteforce; with the whole group it equals the group order.
     """
     ms = _check_moduli(moduli)
     size = prod(ms)
@@ -205,7 +198,15 @@ def psi_relative(moduli, subgroup, *, max_enum: int = DEFAULT_ENUM_CAP) -> int:
     identity = (0,) * len(ms)
     if identity not in subgroup:
         raise ValueError("subgroup does not contain the identity")
-    primes = [q for q, _ in factorize(lcm(*ms))]
-    ranges = [range(m) for m in ms]
-    return sum(_descend(ms, subgroup, e, order, primes)
-               for e, order in zip(product(*ranges), _orders(ms, ranges)))
+    tally = Counter(tuple(map(gcd, h, ms)) for h in subgroup)
+    divisors = [1]
+    for q, a in factorize(lcm(*ms)):
+        divisors = [d * q**i for d in divisors for i in range(a + 1)]
+    exact = {}
+    for d in sorted(divisors):
+        kernel = tuple(map(gcd, repeat(d), ms))
+        image = sum(count for key, count in tally.items()
+                    if not any(map(mod, key, kernel)))
+        exact[d] = prod(kernel) * image - sum(
+            count for e, count in exact.items() if d % e == 0)
+    return sum(d * count for d, count in exact.items())

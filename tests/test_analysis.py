@@ -564,6 +564,18 @@ def test_checkpoint_version_error_shows_a_bounded_value(tmp_path):
     assert len(str(info.value)) < 200
 
 
+def test_unknown_fields_error_names_a_few_and_counts_all(tmp_path):
+    path = tmp_path / "cp.json"
+    path.write_text(json.dumps({
+        "version": CHECKPOINT_VERSION, "max_done": 4000, "collisions": [],
+        "divisible_hits": [], **{f"k{i}": 0 for i in range(10000)}}))
+    with pytest.raises(CheckpointError) as info:
+        load_checkpoint(str(path))
+    assert str(info.value) == (
+        "checkpoint root has unknown fields "
+        "['k0', 'k1', 'k10', ... (10000 in all)]")
+
+
 def test_resume_is_byte_identical(tmp_path):
     # split the run just past the first divisibility hit at 3887, so the
     # interrupted file already holds a record that must survive the resume

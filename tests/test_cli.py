@@ -577,6 +577,18 @@ def test_unwritable_checkpoint_path_exits_2(tmp_path, kind, target):
     assert not list(tmp_path.rglob("*.tmp"))
 
 
+def test_directory_at_the_old_temp_name_does_not_block_a_write(
+        capsys, tmp_path):
+    (tmp_path / "x.json.tmp").mkdir()
+    path = tmp_path / "x.json"
+    code, out, err = run(capsys, "sweep", "divisibility", "--to", "100",
+                         "--checkpoint", str(path))
+    assert (code, err) == (0, "")
+    assert analysis.load_checkpoint(str(path)).max_done == 100
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["x.json",
+                                                          "x.json.tmp"]
+
+
 def test_damaged_checkpoint_is_refused_under_optimize(tmp_path):
     path = tmp_path / "cp.json"
     path.write_bytes(DAMAGED_CHECKPOINTS["non-object entry"][0])

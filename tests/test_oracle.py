@@ -302,3 +302,31 @@ def test_psi_relative_direct_factor_large_group():
     moduli = (4, 27, 25)
     h = subgroup_closure(moduli, [(2, 0, 0)])
     assert psi_relative(moduli, h) == 2 * psi_bruteforce((2, 27, 25))
+
+
+@pytest.mark.parametrize("moduli", [(12, 30), (8, 9, 5)])
+def test_psi_relative_matches_linear_walk(moduli):
+    # composite moduli: an element's gcd tuple mixes primes, so the count
+    # of H & dG must read divisibility component by component
+    table = GroupTable(moduli)
+    subgroups = 0
+    for ids, _gens in table.two_generated_subgroups():
+        h = frozenset(table.elements[i] for i in ids)
+        assert psi_relative(moduli, h) == sum(
+            _relative_order_by_walk(moduli, h, elem)
+            for elem in table.elements), (moduli, sorted(h))
+        subgroups += 1
+    assert subgroups > 10
+
+
+def test_psi_relative_large_cyclic_group():
+    # 240 divisors of the exponent; the whole group and the trivial subgroup
+    # are the two extremes of the count
+    moduli = (720720,)
+    assert psi_relative(moduli, subgroup_closure(moduli, [(1,)])) == 720720
+    assert psi_relative(moduli, frozenset({(0,)})) == psi_bruteforce(moduli)
+
+
+def test_psi_relative_trivial_subgroup_of_elementary_group():
+    moduli = (2,) * 20
+    assert psi_relative(moduli, {(0,) * 20}) == psi_bruteforce(moduli)
