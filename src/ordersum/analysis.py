@@ -56,8 +56,8 @@ from json.encoder import encode_basestring_ascii as _json_string
 from math import isqrt
 
 from ._record import FrozenRecord, MutableRecord
-from .arith import is_prime, smallest_prime_factors
-from .partitions import Partition, partitions_of
+from .arith import smallest_prime_factors
+from .partitions import Partition
 from .psi_core import (
     _psi_prime_power,
     _shapes_of,
@@ -66,9 +66,9 @@ from .psi_core import (
     iter_type_components,
     parse_decimal,
     psi_abelian,
+    psi_chain,
     psi_cyclic,
     psi_elem_abelian,
-    psi_row,
 )
 
 __all__ = [
@@ -665,17 +665,14 @@ def monotonicity_check(n: int, p: int) -> MonotonicityReport:
     closed form gives) up to the single-part cyclic type (whose value the
     cyclic closed form gives).  A non-monotonic chain is reported, not
     assumed away; it is the cheapest whole-row cross-check the formulas
-    have.  The row is one psi_core.psi_row call, which shares powers and
-    geometric sums across the shapes and leaves the _psi_band_sum cache
-    untouched; the two endpoint checks run the Corollary 2 closed forms,
-    a route independent of the band sum.  n must be an int (not a bool).
+    have.  The entries are one psi_core.psi_chain call, which updates
+    each value from the one before it along the partition walk and
+    leaves the _psi_band_sum cache untouched; the two endpoint checks run
+    the Corollary 2 closed forms, a route independent of the band sum.
+    n must be an int (not a bool) and p a prime, or ValueError is raised
+    before any work.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    shapes = partitions_of(n)
-    entries = tuple(zip(shapes, psi_row(p, shapes)))
+    entries = tuple(psi_chain(p, n))
     violations = tuple(
         (a, b) for (a, va), (b, vb) in zip(entries, entries[1:]) if va >= vb)
     return MonotonicityReport(

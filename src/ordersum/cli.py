@@ -414,8 +414,8 @@ _POSITIVE = _int_type(lambda n: n >= 1, "an integer >= 1")
 _ORDER_FROM = _int_type(lambda n: n >= 2, "an integer >= 2")
 _PRIME = _int_type(is_prime, "a prime")
 # sweep monotonicity holds every partition of n in memory, p(n) of them:
-# 204226 at n = 50, where a --json run peaks near 270 MiB under CPython
-# 3.11, and 5.4 million at n = 72.
+# 204226 at n = 50, where a run peaks near 200 MiB and a --json run near
+# 380 MiB (ru_maxrss, CPython 3.11 on Linux), and 5.4 million at n = 72.
 MAX_CHAIN_EXPONENT = 50
 _CHAIN_EXPONENT = _int_type(lambda n: 1 <= n <= MAX_CHAIN_EXPONENT,
                             f"an integer from 1 to {MAX_CHAIN_EXPONENT}")

@@ -14,10 +14,16 @@ length n and comparing those tuples lexicographically:
 so for n = 4 the order runs (1,1,1,1) < (1,1,2) < (2,2) < (1,3) < (4,).
 The all-ones partition is always first and the single part (n,) is always
 last.  lex_successor and lex_compare define the order on Partition values,
-one step at a time, and stay as the reference.  iter_partitions walks the
-same order on one mutable descending list: each step grows the last part
-that can grow and refills the tail with ones, so the whole list is never
-materialized and no padded tuple is built.
+one step at a time, and stay as the reference.
+
+There is one walk of that order, the private generator _walk: it takes
+the lex_successor step in place on one mutable descending list (grow the
+last part that can grow, refill the tail with ones) and yields the list
+with the position it grew, so no padded tuple is built.  It has two
+consumers.  iter_partitions turns each list into a Partition, without
+running the validating constructor on parts the walk made ascending
+integers.  psi_core.psi_chain reads the grown position to update the
+order-sum of each partition from the one before it.
 """
 
 from collections.abc import Iterator
@@ -42,9 +48,8 @@ class Partition(FrozenRecord):
     parts: tuple[int, ...]
 
     def __init__(self, parts: tuple[int, ...]) -> None:
-        # Written out rather than inherited: the monotonicity row builds
-        # one Partition per partition of n, so this is a hot path, and a
-        # plain int skips both isinstance calls.
+        # Written out rather than inherited, so that a plain int skips both
+        # isinstance calls.  The walk's partitions skip it (_unchecked).
         if not parts:
             raise ValueError("a partition needs at least one part")
         prev = 1
@@ -57,6 +62,13 @@ class Partition(FrozenRecord):
                 )
             prev = a
         object.__setattr__(self, "parts", parts)
+
+    @classmethod
+    def _unchecked(cls, parts: tuple[int, ...]) -> "Partition":
+        """The Partition of parts already known to be ascending ints >= 1."""
+        shape = object.__new__(cls)
+        object.__setattr__(shape, "parts", parts)
+        return shape
 
     @property
     def n(self) -> int:
@@ -123,8 +135,8 @@ def lex_successor(partition: Partition) -> Partition | None:
     position j whose entry can grow: a_j + 1 must not exceed the entry
     before it, and the suffix from j must have enough mass left to cover
     the increment.  Increase a_j by one and flatten everything after it
-    into ones.  This is the reference definition of the step;
-    iter_partitions takes the same step in place.
+    into ones.  This is the reference definition of the step; _walk takes
+    the same step in place.
     """
     desc = [a for a in to_padded_tuple(partition) if a != 0]
     for j in range(len(desc) - 1, -1, -1):
@@ -138,21 +150,23 @@ def lex_successor(partition: Partition) -> Partition | None:
     return None
 
 
-def iter_partitions(n: int) -> Iterator[Partition]:
-    """Yield every partition of n in the enumeration order, lazily.
+def _walk(n: int) -> Iterator[tuple[list[int], int | None]]:
+    """Yield (desc, j) for every partition of n in the enumeration order.
 
-    The lex_successor step, taken in place on one descending list: scan
-    back from the end for the last part that is smaller than the part
-    before it and has at least one part after it, add one to it, and
-    refill the tail with ones.
+    desc is the partition's descending parts, one list changed in place
+    between steps, so a consumer reads it before asking for the next.  j
+    is the position the step grew, None at the all-ones start.  The step
+    is lex_successor's: scan back from the end for the last part that is
+    smaller than the part before it and has at least one part after it,
+    add one to it, and refill the tail with ones.
     """
     if isinstance(n, bool) or not isinstance(n, int):
         raise ValueError(f"n must be an int, got {n!r}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     desc = [1] * n
+    yield desc, None
     while True:
-        yield Partition(tuple(reversed(desc)))
         suffix = desc[-1]
         for j in range(len(desc) - 2, -1, -1):
             a = desc[j]
@@ -163,6 +177,14 @@ def iter_partitions(n: int) -> Iterator[Partition]:
             return
         desc[j] = a + 1
         desc[j + 1:] = [1] * (suffix - a - 1)
+        yield desc, j
+
+
+def iter_partitions(n: int) -> Iterator[Partition]:
+    """Yield every partition of n in the enumeration order, lazily."""
+    unchecked = Partition._unchecked
+    for desc, _ in _walk(n):
+        yield unchecked(tuple(desc[::-1]))
 
 
 def partitions_of(n: int) -> list[Partition]:

@@ -20,10 +20,13 @@ geometric sum.  band_schedule lists the bands, and every production route
 is built from that one list: psi costs O(k) big-int powers whatever the
 size of the parts.  _band_sum evaluates the bands with the powers and the
 geometric sums passed in; _psi_band_sum (behind _psi_prime_power) feeds it
-one cold value at a time, and psi_row feeds it a whole row of shapes at
-one p from shared powers and memoised geometric sums.  psi_symbolic in
-the polynomial module reads the same bands in Z[x].  psi_p_alt keeps the
-literal per-alpha sum as an independent reference.
+one cold value at a time, and psi_row feeds it any list of shapes at one
+p from shared powers and memoised geometric sums.  psi_chain, behind the
+monotonicity check, reads the same bands from the largest part down
+along the partition walk: a step changes two bands, so each shape costs
+O(1) big-int operations.  psi_symbolic in the polynomial module reads
+the same bands in Z[x].  psi_p_alt keeps the literal per-alpha sum as an
+independent reference.
 
 The closed forms of Corollary 2 (cyclic, elementary abelian, near
 elementary, rank 2, rank 3) are each written once, as a function over any
@@ -42,7 +45,7 @@ from math import prod
 
 from ._record import FrozenRecord
 from .arith import exact_div, factorize, is_prime
-from .partitions import Partition, partitions_of
+from .partitions import Partition, _walk, partitions_of
 
 __all__ = [
     "AbelianGroupType",
@@ -58,6 +61,7 @@ __all__ = [
     "parse_group_spec",
     "parse_shape",
     "psi_abelian",
+    "psi_chain",
     "psi_cyclic",
     "psi_elem_abelian",
     "psi_near_elem",
@@ -182,9 +186,9 @@ def _psi_band_sum(p: int, parts: tuple[int, ...]) -> int:
     """psi for the p-group with ascending parts: _band_sum at x = p.
 
     One cold value: each power is p ** k and each geometric sum one
-    exact_div, so nothing is shared between calls but this cache.  A whole
-    row of shapes at one p goes through psi_row instead, which shares its
-    powers and geometric sums and leaves this cache alone.
+    exact_div, so nothing is shared between calls but this cache.  The
+    chain of all shapes of p^n goes through psi_chain instead, which
+    shares its powers and geometric sums and leaves this cache alone.
     """
     def geometric(slope, length):
         return exact_div(p ** (slope * length) - 1, p ** slope - 1)
@@ -198,13 +202,25 @@ def psi_row(p: int, shapes) -> list[int]:
     powers of p up to the largest degree are built once, and each
     geometric sum (slope, length) is computed once, by exact_div, and
     reused by every later shape with a band of that slope and length.  The row owns that
-    state, so nothing is left behind in the _psi_band_sum cache.
+    state, so nothing is left behind in the _psi_band_sum cache.  The
+    shapes may come in any order; the tests check psi_chain against it.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     shapes = [s.parts for s in shapes]
+    powers, geometric = _shared_powers(
+        p, max((s[-1] + sum(s) for s in shapes), default=0))
+    return [_band_sum(powers.__getitem__, geometric, s) for s in shapes]
+
+
+def _shared_powers(p: int, degree: int):
+    """The powers p^0 ... p^degree, and a memoised geometric(slope, length).
+
+    geometric(s, L) is (p^{sL} - 1) / (p^s - 1), taken by exact_div the
+    first time it is asked for, for s L <= degree.
+    """
     powers = [1]
-    for _ in range(max((s[-1] + sum(s) for s in shapes), default=0)):
+    for _ in range(degree):
         powers.append(powers[-1] * p)
     sums = {}
 
@@ -214,7 +230,55 @@ def psi_row(p: int, shapes) -> list[int]:
             g = sums[slope, length] = exact_div(
                 powers[slope * length] - 1, powers[slope] - 1)
         return g
-    return [_band_sum(powers.__getitem__, geometric, s) for s in shapes]
+    return powers, geometric
+
+
+def psi_chain(p: int, n: int) -> list[tuple[Partition, int]]:
+    """(shape, psi) of every p-group type of order p^n, in enumeration order.
+
+    The band sum read from the largest part down.  With descending parts
+    b_1 >= ... >= b_k, S_i = b_1 + ... + b_i, b_{k+1} = 0 and
+    G(s, L) = (p^{sL} - 1) / (p^s - 1), so that G(s, 0) = 0:
+
+        psi = p^{n + b_1} - (p - 1) * (T_1 + ... + T_k),
+        T_i = p^{(i + 1) b_{i+1} + n - S_i} * G(i + 1, b_i - b_{i+1}),
+
+    T_i being band_schedule's band of slope i + 1.  The partition walk's
+    step grows part J and refills the tail with r ones: T_1 ... T_{J-2}
+    keep their values, T_{J-1} and T_J are recomputed, and the ones add
+    only the last term, G(k + 1, 1) = 1.  So the chain keeps, per
+    position, the sum of the terms before it, and each shape costs two
+    terms: O(1) big-int operations whatever its number of parts.  The
+    powers and the G(s, L) are psi_row's, shared along the chain; the
+    _psi_band_sum cache is left alone.
+    """
+    _check_prime_exponent(p, n, minimum=1)
+    powers, geometric = _shared_powers(p, 2 * n)
+    unchecked = Partition._unchecked
+    walk = _walk(n)
+    next(walk)
+    # The step grows desc[j], part J = j + 1, after r ones refill the tail.
+    # head[i] = T_1 + ... + T_i, written when the step grows desc[i]; a
+    # step after one at j grows at most j + 1, so it reads only entries
+    # still current.  The all-ones start has one term, T_n = 1.
+    head = [0] * n
+    p1 = p - 1
+    chain = [(unchecked((1,) * n), powers[n + 1] - p1)]
+    for desc, j in walk:
+        b = desc[j]
+        r = len(desc) - j - 1  # n - S_J
+        if j:  # T_{J-1}, exponent J b_J + n - S_{J-1}
+            done = head[j] = head[j - 1] + powers[(j + 2) * b + r] * geometric(
+                j + 1, desc[j - 1] - b)
+        else:
+            done = 0
+        if r:  # T_J with b_{J+1} = 1, then the ones' G(k + 1, 1)
+            done += powers[j + 2 + r] * geometric(j + 2, b - 1) + 1
+        else:  # T_J is the last term
+            done += geometric(j + 2, b)
+        chain.append((unchecked(tuple(desc[::-1])),
+                      powers[n + desc[0]] - p1 * done))
+    return chain
 
 
 def psi_p(group: PGroupType) -> int:

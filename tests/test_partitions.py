@@ -176,3 +176,18 @@ def test_iter_partitions_rejects_non_int_n(n):
         partitions_of(n)
     with pytest.raises(ValueError):
         list(iter_partitions(n))
+
+
+def test_iter_partitions_gives_the_validated_partitions():
+    # The walk builds its Partitions without the validating constructor;
+    # each must equal the one that constructor builds from the same parts.
+    for n in range(1, 21):
+        count = 0
+        for shape in iter_partitions(n):
+            checked = Partition(shape.parts)
+            assert type(shape) is Partition
+            assert shape == checked and hash(shape) == hash(checked)
+            assert all(type(a) is int for a in shape.parts)
+            assert shape.n == n
+            count += 1
+        assert count == reference_partition_count(n)

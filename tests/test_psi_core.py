@@ -4,7 +4,7 @@ import pytest
 
 from ordersum.arith import exact_div
 from ordersum.oracle import psi_bruteforce
-from ordersum.partitions import Partition, partitions_of
+from ordersum.partitions import Partition, lex_successor, partitions_of
 from ordersum.polynomial import psi_symbolic
 from ordersum import psi_core
 from ordersum.psi_core import (
@@ -20,6 +20,7 @@ from ordersum.psi_core import (
     parse_group_spec,
     parse_shape,
     psi_abelian,
+    psi_chain,
     psi_cyclic,
     psi_elem_abelian,
     psi_near_elem,
@@ -388,6 +389,45 @@ def test_psi_row_matches_the_cached_band_sum():
 def test_psi_row_rejects_a_non_prime(p):
     with pytest.raises(ValueError):
         psi_row(p, partitions_of(3))
+
+
+@pytest.mark.parametrize("p", [2, 3, 997])
+def test_psi_chain_matches_the_per_alpha_reference(p):
+    for n in range(1, 13):
+        assert psi_chain(p, n) == [(s, psi_p_alt(PGroupType(p, s)))
+                                   for s in partitions_of(n)], n
+
+
+@pytest.mark.parametrize("p, n", [(991, 30), (2, 40)])
+def test_psi_chain_matches_the_row(p, n):
+    shapes = partitions_of(n)
+    assert psi_chain(p, n) == list(zip(shapes, psi_row(p, shapes)))
+
+
+def test_psi_chain_walks_the_successor_order():
+    for n in range(1, 16):
+        chain = [shape for shape, _ in psi_chain(5, n)]
+        assert chain == partitions_of(n)
+        assert chain[0] == Partition((1,) * n) and chain[-1] == Partition((n,))
+        assert [lex_successor(s) for s in chain] == chain[1:] + [None]
+
+
+def test_psi_chain_leaves_the_band_sum_cache_alone():
+    before = psi_core._psi_band_sum.cache_info().currsize
+    psi_chain(7, 18)
+    assert psi_core._psi_band_sum.cache_info().currsize == before
+
+
+@pytest.mark.parametrize("p, n", [
+    (2, True), (2, False), (2, 3.0), (2, 2.5), (2, "3"), (2, 0),
+    (4, 3), (1, 3), (2.0, 3), (True, 3)])
+def test_psi_chain_refuses_bad_input_before_any_work(p, n, monkeypatch):
+    def work(*args):
+        raise AssertionError("worked before checking the input")
+    monkeypatch.setattr(psi_core, "_shared_powers", work)
+    monkeypatch.setattr(psi_core, "_walk", work)
+    with pytest.raises(ValueError):
+        psi_chain(p, n)
 
 
 @pytest.mark.parametrize("call", [
