@@ -5,7 +5,13 @@ order in a range, computes the order-sum of each, and records everything
 the library's long-running searches care about:
 
   * same-order collisions: two types of the same order with equal order
-    sums (none are expected; finding one would be a discovery),
+    sums (rare but real: order 21069103104 = 2^16 * 3^8 * 7^2 has
+    2^[1,1,1,1,1,1,1,2,2,5]*3^[2,2,2,2]*7^[2] and
+    2^[1,1,1,1,1,1,1,1,8]*3^[1,1,1,1,1,1,2]*7^[1,1], both of order-sum
+    173109506110475, as this scan and the definition-level oracle
+    confirm; a prime of exponent 1 in an order adds the same factor to
+    every type, so the pair lifts to that order times any squarefree
+    number coprime to it),
   * divisibility hits: types whose order-sum is a multiple of the group
     order (rare but real; the smallest has order 3887),
   * violations of the two proved facts that every order-sum is odd and at
@@ -319,7 +325,12 @@ def _json_chunks(value, newline: str, out: list[str]) -> None:
 
 
 def write_json_atomic(record: dict, path: str) -> None:
-    """Write json_text(record) to a file atomically: temp file, then rename.
+    """Write json_text(record) to a file atomically (_write_text_atomic)."""
+    _write_text_atomic(json_text(record), path)
+
+
+def _write_text_atomic(text: str, path: str) -> None:
+    """Write text to a file atomically: temp file, then rename.
 
     A failed write raises CheckpointError("cannot write PATH: reason") and
     leaves no temp file behind.  The temp file is PATH.PID.tmp, unique to
@@ -328,7 +339,7 @@ def write_json_atomic(record: dict, path: str) -> None:
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(json_text(record))
+            fh.write(text)
         os.replace(tmp, path)
     except OSError as exc:
         if os.path.isfile(tmp):

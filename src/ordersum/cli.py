@@ -47,12 +47,12 @@ from .analysis import (
     CheckpointError,
     SoundnessError,
     SweepCheckpoint,
+    _write_text_atomic,
     conjecture_sweep,
     image_probe,
     json_text,
     load_checkpoint,
     monotonicity_check,
-    write_json_atomic,
 )
 from .oracle import (
     DEFAULT_ENUM_CAP,
@@ -89,15 +89,15 @@ class UsageError(Exception):
 
 def _emit(args, record: dict, human_lines: list[str],
           report: str | None = None) -> None:
-    # A report file holds the same JSON text that --json prints.
+    # A report file holds the same JSON text that --json prints, built once.
+    text = json_text(record) if args.json or report is not None else None
     if report is not None:
-        write_json_atomic(record, report)
+        _write_text_atomic(text, report)
         human_lines.append(f"report written to {report}")
     # print() writes the final newline on its own.  Under python -u a write
     # cut short by a closed pipe raises nothing, so it is that last write
     # which raises the BrokenPipeError entry() reports.
-    print(json_text(record).removesuffix("\n") if args.json
-          else "\n".join(human_lines))
+    print(text.removesuffix("\n") if args.json else "\n".join(human_lines))
 
 
 def _elapsed_ms(t0: float) -> float:

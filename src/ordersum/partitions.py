@@ -47,21 +47,18 @@ class Partition(FrozenRecord):
     __slots__ = ("parts",)
     parts: tuple[int, ...]
 
-    def __init__(self, parts: tuple[int, ...]) -> None:
-        # Written out rather than inherited, so that a plain int skips both
-        # isinstance calls.  The walk's partitions skip it (_unchecked).
+    def _check(self) -> None:
+        # The walk's partitions are built by _unchecked and skip this.
+        parts = self.parts
         if not parts:
             raise ValueError("a partition needs at least one part")
         prev = 1
         for a in parts:
-            if ((type(a) is not int
-                 and (isinstance(a, bool) or not isinstance(a, int)))
-                    or a < prev):
+            if isinstance(a, bool) or not isinstance(a, int) or a < prev:
                 raise ValueError(
                     f"parts must be ascending integers >= 1, got {parts!r}"
                 )
             prev = a
-        object.__setattr__(self, "parts", parts)
 
     @classmethod
     def _unchecked(cls, parts: tuple[int, ...]) -> "Partition":

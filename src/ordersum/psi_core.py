@@ -16,12 +16,11 @@ large power of p minus a weighted tail:
 with D = 2 a_k + a_1 + ... + a_{k-1} and f as in f_eval.  On each band
 a_j <= alpha < a_{j+1} (a_0 = 0) the tail exponent is linear in alpha,
 (k + 1 - j) alpha + a_1 + ... + a_j, so the band contributes one
-geometric sum.  band_schedule lists the bands, and every production route
-is built from that one list: psi costs O(k) big-int powers whatever the
-size of the parts.  _band_sum evaluates the bands with the powers and the
-geometric sums passed in; _psi_band_sum (behind _psi_prime_power) feeds it
-one cold value at a time, and psi_row feeds it any list of shapes at one
-p from shared powers and memoised geometric sums.  psi_chain, behind the
+geometric sum.  band_schedule lists the bands, and every route is built
+from that one list: psi costs O(k) big-int powers whatever the size of
+the parts.  _psi_band_sum (behind _psi_prime_power, cached) evaluates the
+bands of one shape at x = p; psi_row is the same sum, uncached, over any
+list of shapes, and stays as a test reference.  psi_chain, behind the
 monotonicity check, reads the same bands from the largest part down
 along the partition walk: a step changes two bands, so each shape costs
 O(1) big-int operations.  psi_symbolic in the polynomial module reads
@@ -151,22 +150,6 @@ def band_schedule(
     return lo + offset, bands
 
 
-def _band_sum(x, geometric, parts):
-    """The band sum of the p-group with ascending parts, over any ring.
-
-    x^D - (x - 1) * sum over bands of x^{slope * lo + offset} times the
-    geometric sum 1 + x^slope + ... + x^{slope * (length - 1)}, with the
-    bands of band_schedule.  x(k) is the k-th power of the variable and
-    geometric(slope, length) is (x^{slope * length} - 1) / (x^slope - 1),
-    an exact division since x^s - 1 divides x^{s m} - 1.
-    """
-    degree, bands = band_schedule(parts)
-    tail = 0
-    for lo, length, slope, offset in bands:
-        tail += x(slope * lo + offset) * geometric(slope, length)
-    return x(degree) - (x(1) - x(0)) * tail
-
-
 def _psi_prime_power(p: int, parts: tuple[int, ...]) -> int:
     """psi for the p-group with ascending part tuple `parts`.
 
@@ -183,41 +166,42 @@ def _psi_prime_power(p: int, parts: tuple[int, ...]) -> int:
 
 @lru_cache(maxsize=None)
 def _psi_band_sum(p: int, parts: tuple[int, ...]) -> int:
-    """psi for the p-group with ascending parts: _band_sum at x = p.
+    """psi for the p-group with ascending parts, from its bands at x = p.
 
-    One cold value: each power is p ** k and each geometric sum one
-    exact_div, so nothing is shared between calls but this cache.  The
-    chain of all shapes of p^n goes through psi_chain instead, which
+    p^D - (p - 1) * sum over the bands of band_schedule of
+    p^{slope * lo + offset} times the geometric sum
+    1 + p^slope + ... + p^{slope * (length - 1)}, which is
+    (p^{slope * length} - 1) / (p^slope - 1), one exact_div.  Each value
+    is computed cold, so nothing is shared between calls but this cache.
+    The chain of all shapes of p^n goes through psi_chain instead, which
     shares its powers and geometric sums and leaves this cache alone.
     """
-    def geometric(slope, length):
-        return exact_div(p ** (slope * length) - 1, p ** slope - 1)
-    return _band_sum(lambda k: p ** k, geometric, parts)
+    degree, bands = band_schedule(parts)
+    tail = 0
+    for lo, length, slope, offset in bands:
+        tail += p ** (slope * lo + offset) * exact_div(
+            p ** (slope * length) - 1, p ** slope - 1)
+    return p ** degree - (p - 1) * tail
 
 
 def psi_row(p: int, shapes) -> list[int]:
     """psi of the p-group of every shape in `shapes`, in order.
 
-    The band sum of _psi_band_sum with state shared across the row: the
-    powers of p up to the largest degree are built once, and each
-    geometric sum (slope, length) is computed once, by exact_div, and
-    reused by every later shape with a band of that slope and length.  The row owns that
-    state, so nothing is left behind in the _psi_band_sum cache.  The
-    shapes may come in any order; the tests check psi_chain against it.
+    The band sum of _psi_band_sum, taken uncached for each shape, so
+    nothing is left behind in the _psi_band_sum cache.  No production
+    route calls it; the tests check psi_chain against it.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    shapes = [s.parts for s in shapes]
-    powers, geometric = _shared_powers(
-        p, max((s[-1] + sum(s) for s in shapes), default=0))
-    return [_band_sum(powers.__getitem__, geometric, s) for s in shapes]
+    return [_psi_band_sum.__wrapped__(p, s.parts) for s in shapes]
 
 
 def _shared_powers(p: int, degree: int):
     """The powers p^0 ... p^degree, and a memoised geometric(slope, length).
 
     geometric(s, L) is (p^{sL} - 1) / (p^s - 1), taken by exact_div the
-    first time it is asked for, for s L <= degree.
+    first time it is asked for, for s L <= degree.  psi_chain shares both
+    along the chain.
     """
     powers = [1]
     for _ in range(degree):
@@ -249,8 +233,8 @@ def psi_chain(p: int, n: int) -> list[tuple[Partition, int]]:
     only the last term, G(k + 1, 1) = 1.  So the chain keeps, per
     position, the sum of the terms before it, and each shape costs two
     terms: O(1) big-int operations whatever its number of parts.  The
-    powers and the G(s, L) are psi_row's, shared along the chain; the
-    _psi_band_sum cache is left alone.
+    powers and the G(s, L) come from _shared_powers, built once for the
+    chain; the _psi_band_sum cache is left alone.
     """
     _check_prime_exponent(p, n, minimum=1)
     powers, geometric = _shared_powers(p, 2 * n)

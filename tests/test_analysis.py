@@ -27,7 +27,10 @@ from ordersum.analysis import (
 )
 from ordersum.arith import factorize, smallest_prime_factors
 from ordersum.partitions import partitions_of
-from ordersum.psi_core import format_group_spec, group_type_of_order, psi_abelian
+from ordersum.oracle import psi_bruteforce
+from ordersum.psi_core import (component_moduli, format_group_spec,
+                               group_type_of_order, parse_group_spec,
+                               psi_abelian)
 from support import run_python
 
 
@@ -207,6 +210,41 @@ def test_collision_labels_follow_type_order(monkeypatch):
     assert outcome.odd_violations == outcome.bound_violations == []
     assert len({c.order for c in outcome.collisions}) > 100
     assert outcome.collisions == expected
+
+
+# A same-order collision of the real order-sum, found by a search over
+# powerful orders (the product of the p^e exactly dividing n with e >= 2).
+COLLISION = CollisionRecord(
+    21069103104, "2^[1,1,1,1,1,1,1,2,2,5]*3^[2,2,2,2]*7^[2]",
+    "2^[1,1,1,1,1,1,1,1,8]*3^[1,1,1,1,1,1,2]*7^[1,1]", 173109506110475)
+
+
+def test_the_scan_finds_the_real_collision():
+    order = COLLISION.order
+    assert factorize(order) == [(2, 16), (3, 8), (7, 2)]
+    outcome = scan_orders(order, order)
+    assert outcome.collisions == [COLLISION]
+    assert outcome.odd_violations == outcome.bound_violations == []
+
+
+def test_the_real_collision_holds_by_the_oracle():
+    for spec in (COLLISION.group_a, COLLISION.group_b):
+        group = parse_group_spec(spec)
+        assert group.order == COLLISION.order
+        assert psi_abelian(group) == COLLISION.psi
+        assert psi_bruteforce(component_moduli(group),
+                              max_enum=10 ** 11) == COLLISION.psi
+        assert prod(psi_core.psi_p_alt(c)
+                    for c in group.components) == COLLISION.psi
+
+
+def test_the_real_collision_lifts_by_a_new_prime():
+    # Every type of order 5n has the factor Z_5, worth psi(Z_5) = 21.
+    order = 5 * COLLISION.order
+    a, b = (label.replace("*7^", "*5*7^")
+            for label in (COLLISION.group_a, COLLISION.group_b))
+    assert scan_orders(order, order).collisions == [
+        CollisionRecord(order, a, b, 21 * COLLISION.psi)]
 
 
 def test_band_sum_cache_is_bounded_by_square_root_primes():

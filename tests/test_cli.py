@@ -444,6 +444,19 @@ def test_sweep_monotonicity_report_file(capsys, tmp_path):
     assert on_disk["kind"] == "monotonicity"
 
 
+def test_sweep_conjecture_reports_the_real_collision(capsys):
+    order = "21069103104"
+    code, record, _ = run_json(capsys, "sweep", "conjecture",
+                               "--from", order, "--to", order)
+    assert code == 1
+    assert record["anomaly"] is True
+    assert record["collisions"] == [{
+        "order": 21069103104,
+        "group_a": "2^[1,1,1,1,1,1,1,2,2,5]*3^[2,2,2,2]*7^[2]",
+        "group_b": "2^[1,1,1,1,1,1,1,1,8]*3^[1,1,1,1,1,1,2]*7^[1,1]",
+        "psi": "173109506110475"}]
+
+
 def test_sweep_checkpoint_file_flows(capsys, tmp_path):
     path = str(tmp_path / "cp.json")
     code, _, _ = run_json(capsys, "sweep", "conjecture", "--to", "400",
@@ -828,6 +841,26 @@ def test_report_file_is_the_json_output(capsys, tmp_path, argv):
     code, out, _ = run(capsys, *argv, "--json", "--checkpoint", str(path))
     assert code == 0
     assert path.read_text(encoding="utf-8") == out
+
+
+@pytest.mark.parametrize("argv", [
+    ("sweep", "image", "--to", "30"),
+    ("sweep", "monotonicity", "--n", "5", "--p", "2"),
+])
+def test_report_file_and_json_output_are_one_text(capsys, tmp_path,
+                                                   monkeypatch, argv):
+    calls = []
+    json_text = analysis.json_text
+
+    def counted(record):
+        calls.append(record)
+        return json_text(record)
+    monkeypatch.setattr(analysis, "json_text", counted)
+    monkeypatch.setattr(cli, "json_text", counted)
+    path = tmp_path / "report.json"
+    code, _, _ = run(capsys, *argv, "--json", "--checkpoint", str(path))
+    assert code == 0
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("argv", [

@@ -385,6 +385,17 @@ def test_psi_row_matches_the_cached_band_sum():
     assert psi_row(5, []) == []
 
 
+def test_psi_row_leaves_the_band_sum_cache_alone():
+    # Neither a hit nor a miss: the row takes each band sum uncached, also
+    # for a shape the cache already holds.
+    psi_core._psi_band_sum(7919, (1, 2))
+    before = psi_core._psi_band_sum.cache_info()
+    shapes = partitions_of(3) + partitions_of(9)
+    assert psi_row(7919, shapes) == [psi_p_alt(PGroupType(7919, s))
+                                     for s in shapes]
+    assert psi_core._psi_band_sum.cache_info() == before
+
+
 @pytest.mark.parametrize("p", [1, 4, 2.0, True])
 def test_psi_row_rejects_a_non_prime(p):
     with pytest.raises(ValueError):
@@ -416,6 +427,16 @@ def test_psi_chain_leaves_the_band_sum_cache_alone():
     before = psi_core._psi_band_sum.cache_info().currsize
     psi_chain(7, 18)
     assert psi_core._psi_band_sum.cache_info().currsize == before
+
+
+def test_the_walk_builds_no_validated_partition(monkeypatch):
+    def check(self):
+        raise AssertionError("validated a partition the walk made")
+    monkeypatch.setattr(Partition, "_check", check)
+    with pytest.raises(AssertionError):
+        Partition((1, 2))
+    assert len(partitions_of(20)) == reference_partition_count(20)
+    assert len(psi_chain(5, 20)) == reference_partition_count(20)
 
 
 @pytest.mark.parametrize("p, n", [
