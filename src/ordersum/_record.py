@@ -7,9 +7,19 @@ field in its repr, refuses assignment and deletion, and pickles by passing
 its field values back to the constructor, which also lets it cross the
 sweep's process pool.  It does what a frozen dataclass with slots does,
 without importing dataclasses, which costs milliseconds at every start of
-the command line.  A MutableRecord subclass writes its own __init__; its
-fields are the attributes that sets, and it compares and shows them the
-same way but is not hashable.
+the command line.
+
+The constructor runs the subclass's _check hook, so a record built from
+outside values is always valid.  FrozenRecord._unchecked(*values) is the
+one trusted constructor: it sets the fields, in __slots__ order as
+__reduce__ passes them, and runs neither __init__ nor _check.  Use it only
+where the calling module has just checked, or made by construction, every
+rule that _check would check again; every call across a public boundary
+goes through the validating constructor.
+
+A MutableRecord subclass writes its own __init__; its fields are the
+attributes that sets, and it compares and shows them the same way but is
+not hashable.
 """
 
 
@@ -36,6 +46,14 @@ class FrozenRecord:
 
     def _check(self) -> None:
         """Validate the fields once they are set; raise ValueError if bad."""
+
+    @classmethod
+    def _unchecked(cls, *values):
+        """The record of values that __init__ keeps and _check accepts."""
+        record = object.__new__(cls)
+        for name, value in zip(cls.__slots__, values):
+            object.__setattr__(record, name, value)
+        return record
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in type(self).__slots__)

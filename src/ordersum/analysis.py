@@ -95,7 +95,7 @@ __all__ = [
     "monotonicity_check",
     "save_checkpoint",
     "scan_orders",
-    "write_json_atomic",
+    "write_text_atomic",
 ]
 
 CHECKPOINT_VERSION = 1
@@ -324,17 +324,14 @@ def _json_chunks(value, newline: str, out: list[str]) -> None:
         out.append(json.dumps(value))
 
 
-def write_json_atomic(record: dict, path: str) -> None:
-    """Write json_text(record) to a file atomically (_write_text_atomic)."""
-    _write_text_atomic(json_text(record), path)
-
-
-def _write_text_atomic(text: str, path: str) -> None:
+def write_text_atomic(text: str, path: str) -> None:
     """Write text to a file atomically: temp file, then rename.
 
-    A failed write raises CheckpointError("cannot write PATH: reason") and
-    leaves no temp file behind.  The temp file is PATH.PID.tmp, unique to
-    the writing process, so nothing left at PATH.tmp is in its way.
+    The one file writer: checkpoints and the command line's report files
+    both go through it.  A failed write raises
+    CheckpointError("cannot write PATH: reason") and leaves no temp file
+    behind.  The temp file is PATH.PID.tmp, unique to the writing process,
+    so nothing left at PATH.tmp is in its way.
     """
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
@@ -348,8 +345,8 @@ def _write_text_atomic(text: str, path: str) -> None:
 
 
 def save_checkpoint(checkpoint: SweepCheckpoint, path: str) -> None:
-    """Write a checkpoint atomically (write_json_atomic)."""
-    write_json_atomic(checkpoint.to_json_obj(), path)
+    """Write a checkpoint's JSON text atomically (write_text_atomic)."""
+    write_text_atomic(json_text(checkpoint.to_json_obj()), path)
 
 
 def load_checkpoint(path: str) -> SweepCheckpoint:

@@ -92,9 +92,7 @@ def smallest_prime_factors(limit: int) -> list[int]:
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
     spf = list(range(limit + 1))
-    spf[0] = 0
-    if limit >= 1:
-        spf[1] = 0
+    spf[0] = spf[1] = 0
     for i in range(2, isqrt(limit) + 1):
         if spf[i] == i:
             for j in range(i * i, limit + 1, i):

@@ -48,7 +48,6 @@ class Partition(FrozenRecord):
     parts: tuple[int, ...]
 
     def _check(self) -> None:
-        # The walk's partitions are built by _unchecked and skip this.
         parts = self.parts
         if not parts:
             raise ValueError("a partition needs at least one part")
@@ -59,13 +58,6 @@ class Partition(FrozenRecord):
                     f"parts must be ascending integers >= 1, got {parts!r}"
                 )
             prev = a
-
-    @classmethod
-    def _unchecked(cls, parts: tuple[int, ...]) -> "Partition":
-        """The Partition of parts already known to be ascending ints >= 1."""
-        shape = object.__new__(cls)
-        object.__setattr__(shape, "parts", parts)
-        return shape
 
     @property
     def n(self) -> int:

@@ -25,8 +25,12 @@ __all__ = [
 ]
 
 
-class IntPoly:
-    """Immutable dense polynomial over Z; coefficients ascending by power."""
+class IntPoly(FrozenRecord):
+    """Immutable dense polynomial over Z; coefficients ascending by power.
+
+    A FrozenRecord of one field, coeffs, with trailing zeros stripped by
+    its own __init__, so equal polynomials compare and hash equal.
+    """
 
     __slots__ = ("coeffs",)
 
@@ -49,12 +53,6 @@ class IntPoly:
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, IntPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
 
     def __add__(self, other: "IntPoly") -> "IntPoly":
         a, b = self.coeffs, other.coeffs

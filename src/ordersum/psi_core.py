@@ -460,6 +460,9 @@ def group_type_of_order(n: int) -> list[AbelianGroupType]:
 # exponents inside a bracket non-decreasing and >= 1.  A bare PRIME means
 # the single cyclic factor p^[1].  INT is ASCII digits without a leading
 # zero.  parse_shape reads a SHAPE on its own.
+#
+# The parser checks every rule of the records it returns, with the byte
+# offset at fault, so it builds them by FrozenRecord._unchecked.
 
 
 class GroupSpecError(ValueError):
@@ -521,7 +524,7 @@ def _read_shape(text: str, pos: int) -> tuple[Partition, int]:
                 e_start)
         exps.append(e)
         if pos < len(text) and text[pos] == "]":
-            return Partition(tuple(exps)), pos + 1
+            return Partition._unchecked(tuple(exps)), pos + 1
         if pos >= len(text) or text[pos] != ",":
             raise GroupSpecError(
                 f"expected ',' or ']', found {_found(text, pos)}", pos)
@@ -544,7 +547,7 @@ def parse_group_spec(text: str) -> AbelianGroupType:
     Errors carry the byte offset of the first offending character.
     """
     if text == "1":
-        return AbelianGroupType(())
+        return AbelianGroupType._unchecked(())
     components: list[PGroupType] = []
     prev_prime = 0
     pos = 0
@@ -561,14 +564,14 @@ def parse_group_spec(text: str) -> AbelianGroupType:
         if pos < len(text) and text[pos] == "^":
             shape, pos = _read_shape(text, pos + 1)
         else:
-            shape = Partition((1,))
-        components.append(PGroupType(p, shape))
+            shape = Partition._unchecked((1,))
+        components.append(PGroupType._unchecked(p, shape))
         if pos == len(text):
             break
         if text[pos] != "*":
             raise GroupSpecError(f"expected '*', found {text[pos]!r}", pos)
         pos += 1
-    return AbelianGroupType(tuple(components))
+    return AbelianGroupType._unchecked(tuple(components))
 
 
 def _format_component(p: int, parts: tuple[int, ...]) -> str:

@@ -22,6 +22,17 @@ def test_normalization():
     assert bool(P(1))
 
 
+def test_coefficients_cannot_be_assigned_or_deleted():
+    # Closed-form reports hold IntPolys and hash by them.
+    p = P(1, 2)
+    before = hash(p)
+    with pytest.raises(AttributeError):
+        p.coeffs = (5,)
+    with pytest.raises(AttributeError):
+        del p.coeffs
+    assert p.coeffs == (1, 2) and hash(p) == before
+
+
 def test_degree():
     assert P().degree is None
     assert P(5).degree == 0

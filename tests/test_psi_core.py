@@ -1,5 +1,7 @@
 """Tests for the order-sum formulas, group types, and the group-spec grammar."""
 
+import pickle
+
 import pytest
 
 from ordersum.arith import exact_div
@@ -437,6 +439,69 @@ def test_the_walk_builds_no_validated_partition(monkeypatch):
         Partition((1, 2))
     assert len(partitions_of(20)) == reference_partition_count(20)
     assert len(psi_chain(5, 20)) == reference_partition_count(20)
+
+
+def _count_checks(monkeypatch) -> dict:
+    """Count psi_core.is_prime calls and the type records' _check calls."""
+    counts = {"is_prime": 0, "_check": 0}
+    is_prime = psi_core.is_prime
+
+    def counted_is_prime(n):
+        counts["is_prime"] += 1
+        return is_prime(n)
+    monkeypatch.setattr(psi_core, "is_prime", counted_is_prime)
+    for cls in (Partition, PGroupType, AbelianGroupType):
+        def counted_check(self, check=cls._check):
+            counts["_check"] += 1
+            check(self)
+        monkeypatch.setattr(cls, "_check", counted_check)
+    return counts
+
+
+def test_the_parser_tests_each_prime_once_and_checks_no_record(monkeypatch):
+    counts = _count_checks(monkeypatch)
+    group = parse_group_spec("2^[1,2]*3*1000003^[1,1]")
+    assert counts == {"is_prime": 3, "_check": 0}
+    parse_shape("[1,1,4]")
+    parse_group_spec("1")
+    assert counts == {"is_prime": 3, "_check": 0}
+    # The counters do see the validating constructors.
+    assert group == AbelianGroupType(
+        (pg(2, 1, 2), pg(3, 1), pg(1000003, 1, 1)))
+    assert counts == {"is_prime": 6, "_check": 7}
+
+
+def _assert_same_value(trusted, validated) -> None:
+    assert type(trusted) is type(validated)
+    assert trusted == validated and validated == trusted
+    assert hash(trusted) == hash(validated)
+    # Unpickling runs the validating constructor on the trusted values.
+    assert pickle.loads(pickle.dumps(trusted)) == validated
+    assert pickle.loads(pickle.dumps(validated)) == trusted
+
+
+def _assert_same_type(trusted, components) -> None:
+    validated = AbelianGroupType(tuple(PGroupType(p, Partition(tuple(parts)))
+                                       for p, parts in components))
+    _assert_same_value(trusted, validated)
+    for a, b in zip(trusted.components, validated.components, strict=True):
+        _assert_same_value(a, b)
+        _assert_same_value(a.shape, b.shape)
+
+
+@pytest.mark.parametrize("spec, components", [
+    ("1", ()),
+    ("2", [(2, [1])]),
+    ("2^[1]", [(2, [1])]),
+    ("997^[1,1,3]", [(997, [1, 1, 3])]),
+    ("13^[1,1]*23", [(13, [1, 1]), (23, [1])]),
+    ("2^[1,2]*3*1000003^[1,1]", [(2, [1, 2]), (3, [1]), (1000003, [1, 1])]),
+])
+def test_parsed_types_are_the_validated_types(spec, components):
+    _assert_same_type(parse_group_spec(spec), components)
+    for _, parts in components:
+        shape = parse_shape("[" + ",".join(map(str, parts)) + "]")
+        _assert_same_value(shape, Partition(tuple(parts)))
 
 
 @pytest.mark.parametrize("p, n", [

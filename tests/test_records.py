@@ -22,7 +22,12 @@ from ordersum.analysis import (
     monotonicity_check,
 )
 from ordersum.partitions import Partition
-from ordersum.polynomial import ClosedFormCheck, ClosedFormReport, verify_closed_form
+from ordersum.polynomial import (
+    ClosedFormCheck,
+    ClosedFormReport,
+    IntPoly,
+    verify_closed_form,
+)
 from ordersum.psi_core import AbelianGroupType, PGroupType, parse_group_spec
 from support import run_python
 
@@ -45,6 +50,10 @@ FIELDS = {
 }
 MUTABLE = (SweepCheckpoint, SweepOutcome)
 FROZEN = tuple(cls for cls in FIELDS if cls not in MUTABLE)
+# IntPoly is a FrozenRecord with its own normalising __init__ and its own
+# IntPoly((...)) repr; it joins every contract below that it shares.
+VALUES = {**FIELDS, IntPoly: ("coeffs",)}
+FROZEN_VALUES = FROZEN + (IntPoly,)
 
 
 def _samples() -> dict:
@@ -54,6 +63,7 @@ def _samples() -> dict:
     report = verify_closed_form(Partition((1, 2)))
     return {
         Partition: Partition((1, 1, 3)),
+        IntPoly: report.direct,
         PGroupType: parse_group_spec("13^[1,1]*23").components[0],
         AbelianGroupType: parse_group_spec("13^[1,1]*23"),
         CollisionRecord: collision,
@@ -74,6 +84,7 @@ SAMPLES = _samples()
 # A second record of each class, differing from the sample in some field.
 OTHERS = {
     Partition: Partition((1, 4)),
+    IntPoly: verify_closed_form(Partition((2, 2))).direct,
     PGroupType: parse_group_spec("13^[1,1]*23").components[1],
     AbelianGroupType: parse_group_spec("13^[1,2]*23"),
     CollisionRecord: CollisionRecord(64, "2^[1,1,4]", "2^[2,2,2]", 1409),
@@ -88,7 +99,7 @@ OTHERS = {
 
 
 def _values(record) -> tuple:
-    return tuple(getattr(record, name) for name in FIELDS[type(record)])
+    return tuple(getattr(record, name) for name in VALUES[type(record)])
 
 
 def _rebuilt(record):
@@ -100,7 +111,7 @@ def _ids(classes):
     return [cls.__name__ for cls in classes]
 
 
-@pytest.mark.parametrize("cls", FIELDS, ids=_ids(FIELDS))
+@pytest.mark.parametrize("cls", VALUES, ids=_ids(VALUES))
 def test_records_survive_pickle_and_deepcopy(cls):
     # Sweep workers send their results back pickled; a record that fails
     # to unpickle there hangs the pool instead of raising, so this is the
@@ -113,7 +124,7 @@ def test_records_survive_pickle_and_deepcopy(cls):
         assert _values(clone) == _values(record)
 
 
-@pytest.mark.parametrize("cls", FIELDS, ids=_ids(FIELDS))
+@pytest.mark.parametrize("cls", VALUES, ids=_ids(VALUES))
 def test_records_compare_by_field(cls):
     record = SAMPLES[cls]
     clone = _rebuilt(record)
@@ -138,7 +149,7 @@ def test_records_of_different_classes_are_never_equal():
     assert hit != Narrower(*_values(hit))
 
 
-@pytest.mark.parametrize("cls", FROZEN, ids=_ids(FROZEN))
+@pytest.mark.parametrize("cls", FROZEN_VALUES, ids=_ids(FROZEN_VALUES))
 def test_equal_records_hash_equal(cls):
     record = SAMPLES[cls]
     clone = _rebuilt(record)
@@ -183,11 +194,11 @@ def test_repr_examples():
         "odd_violations=[], bound_violations=[], five_orders=[])")
 
 
-@pytest.mark.parametrize("cls", FROZEN, ids=_ids(FROZEN))
+@pytest.mark.parametrize("cls", FROZEN_VALUES, ids=_ids(FROZEN_VALUES))
 def test_frozen_fields_cannot_be_assigned_or_deleted(cls):
     record = SAMPLES[cls]
     before = _values(record)
-    for name in FIELDS[cls]:
+    for name in VALUES[cls]:
         with pytest.raises(AttributeError):
             setattr(record, name, 0)
         with pytest.raises(AttributeError):
@@ -195,17 +206,30 @@ def test_frozen_fields_cannot_be_assigned_or_deleted(cls):
     assert _values(record) == before
 
 
-@pytest.mark.parametrize("cls", FIELDS, ids=_ids(FIELDS))
+@pytest.mark.parametrize("cls", VALUES, ids=_ids(VALUES))
 def test_keyword_and_positional_construction_agree(cls):
     record = SAMPLES[cls]
-    by_name = cls(**dict(zip(FIELDS[cls], _values(record))))
+    by_name = cls(**dict(zip(VALUES[cls], _values(record))))
     assert by_name == cls(*_values(record)) == record
     with pytest.raises(TypeError):
         cls(*_values(record), 0)
     with pytest.raises(TypeError):
-        cls(*_values(record), **{FIELDS[cls][0]: _values(record)[0]})
+        cls(*_values(record), **{VALUES[cls][0]: _values(record)[0]})
     with pytest.raises(TypeError):
-        cls(**dict(zip(FIELDS[cls], _values(record))), not_a_field=0)
+        cls(**dict(zip(VALUES[cls], _values(record))), not_a_field=0)
+
+
+@pytest.mark.parametrize("cls", FROZEN_VALUES, ids=_ids(FROZEN_VALUES))
+def test_trusted_construction_equals_the_validated_one(cls):
+    # FrozenRecord._unchecked skips __init__ and _check; on values the
+    # checks accept it must build the very record the constructor builds.
+    values = _values(SAMPLES[cls])
+    trusted, validated = cls._unchecked(*values), cls(*values)
+    assert type(trusted) is cls
+    assert trusted == validated and validated == trusted
+    assert hash(trusted) == hash(validated)
+    assert repr(trusted) == repr(validated)
+    assert pickle.loads(pickle.dumps(trusted)) == validated
 
 
 def test_frozen_records_need_every_field():
