@@ -56,7 +56,7 @@ class FrozenRecord:
         return record
 
     def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in type(self).__slots__)
+        return tuple([getattr(self, name) for name in type(self).__slots__])
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

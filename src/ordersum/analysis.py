@@ -18,15 +18,13 @@ the library's long-running searches care about:
     least 2*order - 1 (impossible unless the formulas are broken, so the
     sweep wrappers raise SoundnessError on them).
 
-The scan kernel (_scan_range) never builds a type.  psi is multiplicative
-over the primes of the order, so for each p^e exactly dividing n it takes
-the list of psi values of the shapes of e (one value, p^2 - p + 1, when
-e = 1) and folds the lists together with one multiplication per type, in
-the type enumeration order.  A type's spec label is the type at its
-index in psi_core.iter_type_components, looked up and formatted only for
-the records kept.  Every value comes through _psi_prime_power, whose
-cache holds only shapes of order p^2 or more, so it is bounded by the
-primes up to the square root of the range.
+The scan kernel (_scan_range) never builds a type.  It reads each order
+from psi_core's type table: psi_core.type_psis folds one psi value per
+(p, shape) into the values of all types of the order, with one
+multiplication per type, and psi_core.type_labels gives their spec texts
+in the same order, built only for an order that keeps a record.  The
+per-prime values are cached only for shapes of order p^2 or more, so the
+cache is bounded by the primes up to the square root of the range.
 
 Long sweeps persist progress in a small JSON checkpoint.  Checkpoints are
 written atomically (temp file + rename), carry a format version that is
@@ -57,24 +55,20 @@ import os
 import sys
 from bisect import bisect_right
 from functools import lru_cache
-from itertools import combinations, islice
+from itertools import combinations
 from json.encoder import encode_basestring_ascii as _json_string
 from math import isqrt
 
 from ._record import FrozenRecord, MutableRecord
-from .arith import smallest_prime_factors
+from .arith import factorize, smallest_prime_factors
 from .partitions import Partition
 from .psi_core import (
-    _psi_prime_power,
-    _shapes_of,
-    format_components,
-    group_type_of_order,
-    iter_type_components,
     parse_decimal,
-    psi_abelian,
     psi_chain,
     psi_cyclic,
     psi_elem_abelian,
+    type_labels,
+    type_psis,
 )
 
 __all__ = [
@@ -426,58 +420,41 @@ def _factor_block(start: int, stop: int) -> list[list[tuple[int, int]]]:
             for r, pairs in zip(residues, factors)]
 
 
-def _type_label(factorization: list[tuple[int, int]], index: int) -> str:
-    """Spec label of the type at `index` in iter_type_components order."""
-    return format_components(
-        next(islice(iter_type_components(factorization), index, None)))
-
-
 def _scan_range(bounds: tuple[int, int]) -> SweepOutcome:
     """Scan every order in [start, stop] with all detectors on.
 
-    A pure function of its bounds, so it is also the pool task.  psi is
-    multiplicative, so the values of all types of an order are products
-    of one value per prime: a prime of exponent 1 contributes a factor
-    common to every type, and a prime of exponent e >= 2 one value per
-    shape of e.  Folding the primes in increasing order, the last one
-    varying fastest, puts the values in iter_type_components order, so a
-    type's spec label is the type at its index in that order; labels are
-    looked up and formatted only for the records kept.
+    A pure function of its bounds, so it is also the pool task.  The
+    values of an order's types come from type_psis; their labels, from
+    type_labels in the same order, are built only when the order keeps a
+    record.
     """
     start, stop = bounds
     out = SweepOutcome()
     for n, factorization in enumerate(_factor_block(start, stop), start):
-        common = 1
-        values = [1]
-        for p, e in factorization:
-            if e == 1:
-                common *= _psi_prime_power(p, (1,))
-            else:
-                psis = [_psi_prime_power(p, parts) for parts in _shapes_of(e)]
-                values = [v * w for v in values for w in psis]
-        values = [common * v for v in values]
+        values = type_psis(factorization)
         out.types_scanned += len(values)
+        labels = None
         for i, value in enumerate(values):
-            if value % 2 == 0:
-                out.odd_violations.append(
-                    (n, _type_label(factorization, i), value))
-            if value < 2 * n - 1:
-                out.bound_violations.append(
-                    (n, _type_label(factorization, i), value))
             if value == 5:
                 out.five_orders.append(n)
+            if value % 2 and value >= 2 * n - 1 and (n < 2 or value % n):
+                continue  # nothing to record
+            labels = labels or type_labels(factorization)
+            if value % 2 == 0:
+                out.odd_violations.append((n, labels[i], value))
+            if value < 2 * n - 1:
+                out.bound_violations.append((n, labels[i], value))
             if n >= 2 and value % n == 0:
-                out.divisible_hits.append(DivisibleRecord(
-                    n, _type_label(factorization, i), value, value // n))
-        if len(set(values)) < len(values):
-            by_value: dict[int, list[int]] = {}
-            for i, value in enumerate(values):
-                by_value.setdefault(value, []).append(i)
-            for value, indices in by_value.items():
-                for a, b in combinations(indices, 2):
-                    out.collisions.append(CollisionRecord(
-                        n, _type_label(factorization, a),
-                        _type_label(factorization, b), value))
+                out.divisible_hits.append(
+                    DivisibleRecord(n, labels[i], value, value // n))
+        if len(values) > 1 and len(set(values)) < len(values):
+            labels = labels or type_labels(factorization)
+            by_value: dict[int, list[str]] = {}
+            for label, value in zip(labels, values):
+                by_value.setdefault(value, []).append(label)
+            for value, group in by_value.items():
+                for a, b in combinations(group, 2):
+                    out.collisions.append(CollisionRecord(n, a, b, value))
     return out
 
 
@@ -609,8 +586,8 @@ def image_probe(max_order: int, *, workers: int = 1) -> ImageReport:
     if max_order < 1:
         raise ValueError(f"max_order must be >= 1, got {max_order}")
     outcome = scan_orders(1, max_order, workers=workers)
-    small = sorted({psi_abelian(t) for n in range(1, min(3, max_order) + 1)
-                    for t in group_type_of_order(n)})
+    small = sorted({value for n in range(1, min(3, max_order) + 1)
+                    for value in type_psis(factorize(n))})
     all_odd = not outcome.odd_violations
     bound_holds = not outcome.bound_violations
     five_orders = tuple(outcome.five_orders)

@@ -39,7 +39,6 @@ import argparse
 import os
 import sys
 from functools import cache
-from math import prod
 from time import perf_counter
 
 from .arith import ExactDivisionError, exact_div, factorize, is_prime
@@ -64,16 +63,14 @@ from .oracle import (
 from .polynomial import psi_symbolic, verify_closed_form
 from .psi_core import (
     GroupSpecError,
-    _format_component,
-    _psi_prime_power,
-    _shapes_of,
     component_moduli,
     format_group_spec,
-    iter_type_components,
     parse_decimal,
     parse_group_spec,
     parse_shape,
     psi_abelian,
+    type_labels,
+    type_psis,
 )
 
 EXIT_OK = 0
@@ -150,17 +147,9 @@ def cmd_compute(args) -> int:
 def cmd_list(args) -> int:
     t0 = perf_counter()
     factorization = factorize(args.order)
-    # A type is one (p, parts) term per prime of the order, and its label
-    # and psi are the "*"-join and the product of its terms' labels and
-    # values; so each term is formatted and evaluated once, not once per
-    # row, and no AbelianGroupType is built.
-    label = {(p, parts): _format_component(p, parts)
-             for p, e in factorization for parts in _shapes_of(e)}
-    psi = {term: _psi_prime_power(*term) for term in label}
-    rows = [{"group": "*".join([label[t] for t in terms]) or "1",
-             "psi": str(prod([psi[t] for t in terms])),
-             "method": "theorem1"}
-            for terms in iter_type_components(factorization)]
+    rows = [{"group": label, "psi": str(value), "method": "theorem1"}
+            for label, value in zip(type_labels(factorization),
+                                    type_psis(factorization))]
     elapsed = _elapsed_ms(t0)
     record = {
         "command": "list",

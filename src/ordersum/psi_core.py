@@ -27,6 +27,15 @@ O(1) big-int operations.  psi_symbolic in the polynomial module reads
 the same bands in Z[x].  psi_p_alt keeps the literal per-alpha sum as an
 independent reference.
 
+An order n = p_1^{e_1} ... p_r^{e_r} has one abelian type per choice of a
+partition of each e_i, and psi of a type is the product of one p-group
+value per prime.  type_psis and type_labels are the one type table of an
+order: the psi values and the spec texts of its types, both in
+iter_type_components order.  type_psis folds the per-prime value lists
+together with one multiplication per type; type_labels formats each
+(p, shape) term once and joins the terms of each type.  The range sweep,
+the `list` command and the image probe all read their types from them.
+
 The closed forms of Corollary 2 (cyclic, elementary abelian, near
 elementary, rank 2, rank 3) are each written once, as a function over any
 ring that takes the powers of the variable and an exact division.  The
@@ -69,6 +78,8 @@ __all__ = [
     "psi_rank2",
     "psi_rank3",
     "psi_row",
+    "type_labels",
+    "type_psis",
 ]
 
 
@@ -153,8 +164,8 @@ def band_schedule(
 def _psi_prime_power(p: int, parts: tuple[int, ...]) -> int:
     """psi for the p-group with ascending part tuple `parts`.
 
-    The sweep kernel fetches every per-prime value through this name, once
-    per (p, shape) of each order it scans.  Z_p is answered directly,
+    Every per-prime value of psi_p, psi_abelian and type_psis comes
+    through this module-global name.  Z_p is answered directly,
     p^2 - p + 1, so only shapes of order p^2 or more reach the cached band
     sum; a sweep up to `stop` meets those only for p <= isqrt(stop), which
     bounds the cache by the primes up to the square root of the range.
@@ -439,6 +450,36 @@ def iter_type_components(factorization):
                      for p, e in factorization])
 
 
+def type_psis(factorization) -> list[int]:
+    """psi of every abelian type of one order, in iter_type_components order.
+
+    `factorization` is the order's (prime, exponent) pairs, primes
+    increasing.  A prime of exponent 1 contributes the factor psi(Z_p)
+    common to every type, and a prime of exponent e >= 2 one value per
+    shape of e; folding the primes in order, the last one varying fastest,
+    takes one multiplication per type.  The trivial type gives [1].
+    """
+    common = 1
+    values = [1]
+    for p, e in factorization:
+        if e == 1:
+            common *= _psi_prime_power(p, (1,))
+        else:
+            psis = [_psi_prime_power(p, parts) for parts in _shapes_of(e)]
+            values = [v * w for v in values for w in psis]
+    return [common * v for v in values]
+
+
+def type_labels(factorization) -> list[str]:
+    """Spec text of every abelian type of one order, as type_psis orders them.
+
+    Each (p, shape) term is formatted once; the trivial type is "1".
+    """
+    terms = [[_format_component(p, parts) for parts in _shapes_of(e)]
+             for p, e in factorization]
+    return [_spec_text(row) for row in product(*terms)]
+
+
 def group_type_of_order(n: int) -> list[AbelianGroupType]:
     """All abelian group types of order n, in iter_type_components order."""
     if n < 1:
@@ -580,12 +621,12 @@ def _format_component(p: int, parts: tuple[int, ...]) -> str:
     return f"{p}^[{','.join(str(a) for a in parts)}]"
 
 
-def format_components(pairs) -> str:
-    """Canonical spec text for (prime, ascending part tuple) pairs."""
-    terms = [_format_component(p, parts) for p, parts in pairs]
-    return "*".join(terms) if terms else "1"
+def _spec_text(terms) -> str:
+    """Spec text of a type from its terms' texts; the trivial type is "1"."""
+    return "*".join(terms) or "1"
 
 
 def format_group_spec(group: AbelianGroupType) -> str:
     """Canonical spec text for a group type; parse_group_spec inverts it."""
-    return format_components((c.p, c.shape.parts) for c in group.components)
+    return _spec_text([_format_component(c.p, c.shape.parts)
+                       for c in group.components])

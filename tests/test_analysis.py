@@ -195,7 +195,7 @@ def test_collision_labels_follow_type_order(monkeypatch):
     def forged(p, parts):
         return 2 * p ** sum(parts) + 1 + 2 * (len(parts) % 2)
 
-    monkeypatch.setattr(analysis, "_psi_prime_power", forged)
+    monkeypatch.setattr(psi_core, "_psi_prime_power", forged)
     start, stop = 2, 3700  # 3600 = 2^4 * 3^2 * 5^2
     expected = []
     for n in range(start, stop + 1):
@@ -680,8 +680,8 @@ def test_image_probe_rejects_bad_bound():
 
 
 def test_partition_shapes_cached_correctly():
-    # the sweep's per-exponent shape cache must agree with partitions_of
-    from ordersum.analysis import _shapes_of
+    # the type table's per-exponent shape cache must agree with partitions_of
+    from ordersum.psi_core import _shapes_of
     for e in range(1, 18):
         assert _shapes_of(e) == tuple(
             tuple(s.parts) for s in partitions_of(e))
@@ -693,7 +693,8 @@ def test_soundness_check_survives_optimize():
     code = (
         "import sys\n"
         "import ordersum.analysis as analysis\n"
-        "analysis._psi_prime_power = lambda p, parts: 2 * p ** (2 * sum(parts))\n"
+        "import ordersum.psi_core as psi_core\n"
+        "psi_core._psi_prime_power = lambda p, parts: 2 * p ** (2 * sum(parts))\n"
         "try:\n"
         "    analysis.conjecture_sweep(2, 10)\n"
         "except analysis.SoundnessError as exc:\n"

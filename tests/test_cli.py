@@ -8,6 +8,7 @@ import pytest
 
 import ordersum.analysis as analysis
 import ordersum.cli as cli
+import ordersum.psi_core as psi_core
 from ordersum.arith import ExactDivisionError
 from ordersum.analysis import CHECKPOINT_VERSION
 from ordersum.psi_core import (group_type_of_order, parse_group_spec,
@@ -700,7 +701,7 @@ def test_compute_prints_order_sums_past_digit_limit(capsys):
 
 
 def test_soundness_error_is_internal(capsys, monkeypatch):
-    monkeypatch.setattr(analysis, "_psi_prime_power", lambda p, parts: 2 * p ** 4)
+    monkeypatch.setattr(psi_core, "_psi_prime_power", lambda p, parts: 2 * p ** 4)
     code, out, err = run(capsys, "sweep", "conjecture", "--to", "10")
     assert code == 3
     assert err.startswith("internal error: even order-sum recorded")

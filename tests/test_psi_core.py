@@ -31,6 +31,8 @@ from ordersum.psi_core import (
     psi_rank2,
     psi_rank3,
     psi_row,
+    type_labels,
+    type_psis,
 )
 from support import f_piecewise, reference_partition_count
 
@@ -370,6 +372,20 @@ def test_iter_type_components_is_the_group_type_order():
     # Each p-group component is built once and shared by the types using it.
     types = group_type_of_order(144)
     assert types[0].components[1] is types[2].components[1]
+
+
+def test_type_table_is_the_record_route():
+    # type_psis and type_labels give, in order, what building every type
+    # of the order and taking psi_abelian and format_group_spec gives.
+    from ordersum.arith import factorize
+    for n in [*range(1, 5001), 2 ** 10 * 3 ** 5 * 5 ** 3, 21069103104]:
+        factorization = factorize(n)
+        types = group_type_of_order(n)
+        assert type_psis(factorization) == [psi_abelian(t) for t in types], n
+        assert type_labels(factorization) == [format_group_spec(t)
+                                              for t in types], n
+    assert type_psis([]) == [1]
+    assert type_labels([]) == ["1"]
 
 
 @pytest.mark.parametrize("p", [2, 3, 997])

@@ -1,5 +1,7 @@
-"""The scripts under tools/ run against this checkout."""
+"""The scripts under tools/ run against this checkout, and the private
+names that the package's modules import from each other are pinned."""
 
+import ast
 from pathlib import Path
 
 from support import run_python
@@ -19,3 +21,17 @@ def test_code_lines_counts_every_module():
     assert set(counts) == {path.stem for path in
                            (ROOT / "src" / "ordersum").glob("*.py")}
     assert rows[-1] == ["total", str(sum(counts.values()))]
+
+
+def test_package_modules_share_only_the_pinned_private_names():
+    # A private name one package module imports from another is a rule
+    # kept outside its module's public list; only these two are allowed.
+    reached = set()
+    for path in (ROOT / "src" / "ordersum").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                reached.update((path.stem, node.module, alias.name)
+                               for alias in node.names
+                               if alias.name.startswith("_"))
+    assert reached == {("psi_core", "partitions", "_walk"),
+                       ("polynomial", "psi_core", "_corollary2_forms")}
