@@ -13,10 +13,12 @@ the library's long-running searches care about:
     every type, so the pair lifts to that order times any squarefree
     number coprime to it),
   * divisibility hits: types whose order-sum is a multiple of the group
-    order (rare but real; the smallest has order 3887),
-  * violations of the two proved facts that every order-sum is odd and at
-    least 2*order - 1 (impossible unless the formulas are broken, so the
-    sweep wrappers raise SoundnessError on them).
+    order (rare but real; the smallest has order 3887).
+
+Every order-sum is odd and at least 2*order - 1.  A value that breaks
+either proved fact means the formulas are broken, not that something was
+found, so the scan kernel raises SoundnessError at the first such value,
+in every sweep and under python -O alike.
 
 The scan kernel (_scan_range) never builds a type.  It reads each order
 from psi_core's type table: psi_core.type_psis folds one psi value per
@@ -362,25 +364,15 @@ class SweepOutcome(MutableRecord):
 
     def __init__(self, types_scanned: int = 0,
                  collisions: list[CollisionRecord] | None = None,
-                 divisible_hits: list[DivisibleRecord] | None = None,
-                 odd_violations: list[tuple[int, str, int]] | None = None,
-                 bound_violations: list[tuple[int, str, int]] | None = None,
-                 five_orders: list[int] | None = None) -> None:
+                 divisible_hits: list[DivisibleRecord] | None = None) -> None:
         self.types_scanned = types_scanned
         self.collisions = [] if collisions is None else collisions
         self.divisible_hits = [] if divisible_hits is None else divisible_hits
-        self.odd_violations = [] if odd_violations is None else odd_violations
-        self.bound_violations = ([] if bound_violations is None
-                                 else bound_violations)
-        self.five_orders = [] if five_orders is None else five_orders
 
     def merge(self, other: "SweepOutcome") -> None:
         self.types_scanned += other.types_scanned
         self.collisions.extend(other.collisions)
         self.divisible_hits.extend(other.divisible_hits)
-        self.odd_violations.extend(other.odd_violations)
-        self.bound_violations.extend(other.bound_violations)
-        self.five_orders.extend(other.five_orders)
 
 
 @lru_cache(maxsize=1)
@@ -421,12 +413,15 @@ def _factor_block(start: int, stop: int) -> list[list[tuple[int, int]]]:
 
 
 def _scan_range(bounds: tuple[int, int]) -> SweepOutcome:
-    """Scan every order in [start, stop] with all detectors on.
+    """Scan every order in [start, stop] for collisions and divisibility hits.
 
     A pure function of its bounds, so it is also the pool task.  The
     values of an order's types come from type_psis; their labels, from
     type_labels in the same order, are built only when the order keeps a
-    record.
+    record or breaks a proved fact.  The first value that is even or below
+    2n - 1 raises SoundnessError, naming (n, label, value); a raise, not an
+    assert, so the check also runs under python -O, and in a worker it
+    reaches the parent through the pool.
     """
     start, stop = bounds
     out = SweepOutcome()
@@ -435,18 +430,16 @@ def _scan_range(bounds: tuple[int, int]) -> SweepOutcome:
         out.types_scanned += len(values)
         labels = None
         for i, value in enumerate(values):
-            if value == 5:
-                out.five_orders.append(n)
             if value % 2 and value >= 2 * n - 1 and (n < 2 or value % n):
                 continue  # nothing to record
             labels = labels or type_labels(factorization)
-            if value % 2 == 0:
-                out.odd_violations.append((n, labels[i], value))
-            if value < 2 * n - 1:
-                out.bound_violations.append((n, labels[i], value))
-            if n >= 2 and value % n == 0:
-                out.divisible_hits.append(
-                    DivisibleRecord(n, labels[i], value, value // n))
+            if value % 2 == 0 or value < 2 * n - 1:
+                rule = ("even order-sum" if value % 2 == 0
+                        else "order-sum below 2n-1")
+                raise SoundnessError(
+                    f"{rule} recorded: {[(n, labels[i], value)]}")
+            out.divisible_hits.append(
+                DivisibleRecord(n, labels[i], value, value // n))
         if len(values) > 1 and len(set(values)) < len(values):
             labels = labels or type_labels(factorization)
             by_value: dict[int, list[str]] = {}
@@ -497,19 +490,6 @@ def scan_orders(start: int, stop: int, *, workers: int = 1,
     return total
 
 
-def _require_sound(outcome: SweepOutcome) -> None:
-    # Odd / lower-bound violations cannot occur for correct formulas; any
-    # appearance means the computation itself is broken, so fail loudly
-    # rather than record them as findings.  A raise, not an assert, so the
-    # check also runs under python -O.
-    if outcome.odd_violations:
-        raise SoundnessError(
-            f"even order-sum recorded: {outcome.odd_violations[:3]}")
-    if outcome.bound_violations:
-        raise SoundnessError(
-            f"order-sum below 2n-1 recorded: {outcome.bound_violations[:3]}")
-
-
 def conjecture_sweep(start: int, stop: int,
                      checkpoint: SweepCheckpoint | None = None, *,
                      workers: int = 1,
@@ -537,10 +517,9 @@ def conjecture_sweep(start: int, stop: int,
         raise CheckpointError(
             f"gap between checkpoint (orders <= {checkpoint.max_done} done) "
             f"and requested start {start}")
-    effective = max(start, checkpoint.max_done + 1)
+    effective = checkpoint.max_done + 1
     for block_end, outcome in _iter_block_outcomes(
             effective, stop, workers, block_size):
-        _require_sound(outcome)
         checkpoint.collisions.extend(outcome.collisions)
         checkpoint.divisible_hits.extend(outcome.divisible_hits)
         checkpoint.max_done = block_end
@@ -555,9 +534,7 @@ def divisibility_search(max_order: int, *, workers: int = 1) -> list[DivisibleRe
     """All types of order 2..max_order whose order-sum the order divides."""
     if max_order < 2:
         raise ValueError(f"max_order must be >= 2, got {max_order}")
-    outcome = scan_orders(2, max_order, workers=workers)
-    _require_sound(outcome)
-    return outcome.divisible_hits
+    return scan_orders(2, max_order, workers=workers).divisible_hits
 
 
 class ImageReport(FrozenRecord):
@@ -582,27 +559,33 @@ def image_probe(max_order: int, *, workers: int = 1) -> ImageReport:
     realize exactly the values {1, 3, 7}, and every group of order >= 4
     has order-sum at least 2*4 - 1 = 7, so no group of any order attains
     5 (or any other value missing from the scanned range below 7).
+
+    A report exists only if the scan saw no violation: a value that is
+    even or below 2*order - 1 raises SoundnessError, so all_odd and
+    bound_holds are True in every report returned.  Every scanned value
+    at order >= 4 has passed that bound, which is at least 7 there, so a
+    5 can only come from orders 1..3; five_orders holds one entry per
+    type of those orders whose value is 5.
     """
     if max_order < 1:
         raise ValueError(f"max_order must be >= 1, got {max_order}")
     outcome = scan_orders(1, max_order, workers=workers)
-    small = sorted({value for n in range(1, min(3, max_order) + 1)
-                    for value in type_psis(factorize(n))})
-    all_odd = not outcome.odd_violations
-    bound_holds = not outcome.bound_violations
-    five_orders = tuple(outcome.five_orders)
-    conclusive = (max_order >= 5 and all_odd and bound_holds
-                  and not five_orders)
+    small = [(n, value) for n in range(1, min(3, max_order) + 1)
+             for value in type_psis(factorize(n))]
+    values = sorted({value for _, value in small})
+    five_orders = tuple(n for n, value in small if value == 5)
+    conclusive = max_order >= 5 and not five_orders
     if conclusive:
         explanation = (
-            f"conclusive: orders 1..3 realize exactly {small}, every scanned "
+            f"conclusive: orders 1..3 realize exactly {values}, every scanned "
             f"value up to order {max_order} is odd and >= 2*order-1, and any "
             "group of order >= 4 has order-sum >= 7, so the value 5 is never "
             "attained by any finite abelian group")
     elif five_orders:
         explanation = (
-            f"value 5 attained at orders {sorted(set(five_orders))}; this "
-            "contradicts the proved lower bound, so treat it as a defect")
+            f"value 5 attained at orders {list(five_orders)}; this "
+            "contradicts the definition, by which orders 1..3 have exactly "
+            "the values 1, 3 and 7, so treat it as a defect")
     else:
         explanation = (
             f"inconclusive: scanned only up to order {max_order}; rerun with "
@@ -610,9 +593,9 @@ def image_probe(max_order: int, *, workers: int = 1) -> ImageReport:
     return ImageReport(
         max_order=max_order,
         types_scanned=outcome.types_scanned,
-        values_up_to_3=tuple(small),
-        all_odd=all_odd,
-        bound_holds=bound_holds,
+        values_up_to_3=tuple(values),
+        all_odd=True,
+        bound_holds=True,
         five_orders=five_orders,
         conclusive=conclusive,
         explanation=explanation,

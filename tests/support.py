@@ -192,3 +192,16 @@ def run_python(code: str, *flags: str):
         p for p in (src, env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, *flags, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
+
+
+def forge_psi(monkeypatch, p: int, parts: tuple[int, ...], value: int) -> None:
+    """Make the library's psi of the p-group of shape `parts` read `value`.
+
+    Every per-prime value goes through psi_core._psi_prime_power, so the
+    forged value reaches every sweep, and forked workers inherit it.
+    """
+    from ordersum import psi_core
+
+    real = psi_core._psi_prime_power
+    monkeypatch.setattr(psi_core, "_psi_prime_power",
+                        lambda q, s: value if (q, s) == (p, parts) else real(q, s))

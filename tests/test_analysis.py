@@ -15,6 +15,7 @@ from ordersum.analysis import (
     CheckpointError,
     CollisionRecord,
     DivisibleRecord,
+    SoundnessError,
     SweepCheckpoint,
     SweepOutcome,
     conjecture_sweep,
@@ -31,7 +32,7 @@ from ordersum.oracle import psi_bruteforce
 from ordersum.psi_core import (component_moduli, format_group_spec,
                                group_type_of_order, parse_group_spec,
                                psi_abelian)
-from support import run_python
+from support import forge_psi, run_python
 
 
 def test_monotonicity_chain_n4_p2():
@@ -79,9 +80,6 @@ def test_scan_orders_counts_types():
     expected = sum(len(group_type_of_order(n)) for n in range(1, 101))
     assert outcome.types_scanned == expected
     assert outcome.collisions == []
-    assert outcome.odd_violations == []
-    assert outcome.bound_violations == []
-    assert outcome.five_orders == []
 
 
 def test_scan_orders_workers_equivalence():
@@ -165,8 +163,6 @@ def _definition_outcome(start, stop):
         out.types_scanned += len(types)
         for t in types:
             value = psi_abelian(t)
-            if value == 5:
-                out.five_orders.append(n)
             if value % n == 0:
                 out.divisible_hits.append(
                     DivisibleRecord(n, format_group_spec(t), value, value // n))
@@ -182,7 +178,7 @@ def _definition_outcome(start, stop):
 def test_scan_kernel_matches_definition_route(start, stop):
     # The kernel multiplies per-prime value lists; the definition route
     # builds every type and takes psi_abelian of it.  Correct formulas give
-    # no collisions and no violations, so those lists stay empty.
+    # no collisions and raise no SoundnessError.
     assert analysis._scan_range((start, stop)) == _definition_outcome(start, stop)
 
 
@@ -207,7 +203,6 @@ def test_collision_labels_follow_type_order(monkeypatch):
             expected += [CollisionRecord(n, a, b, value)
                          for a, b in combinations(labels, 2)]
     outcome = scan_orders(start, stop)
-    assert outcome.odd_violations == outcome.bound_violations == []
     assert len({c.order for c in outcome.collisions}) > 100
     assert outcome.collisions == expected
 
@@ -224,7 +219,6 @@ def test_the_scan_finds_the_real_collision():
     assert factorize(order) == [(2, 16), (3, 8), (7, 2)]
     outcome = scan_orders(order, order)
     assert outcome.collisions == [COLLISION]
-    assert outcome.odd_violations == outcome.bound_violations == []
 
 
 def test_the_real_collision_holds_by_the_oracle():
@@ -695,14 +689,32 @@ def test_soundness_check_survives_optimize():
         "import ordersum.analysis as analysis\n"
         "import ordersum.psi_core as psi_core\n"
         "psi_core._psi_prime_power = lambda p, parts: 2 * p ** (2 * sum(parts))\n"
-        "try:\n"
-        "    analysis.conjecture_sweep(2, 10)\n"
-        "except analysis.SoundnessError as exc:\n"
-        "    print(sys.flags.optimize, exc)\n"
+        "for sweep in (lambda: analysis.conjecture_sweep(2, 10),\n"
+        "              lambda: analysis.image_probe(10)):\n"
+        "    try:\n"
+        "        sweep()\n"
+        "    except analysis.SoundnessError as exc:\n"
+        "        print(sys.flags.optimize, exc)\n"
     )
     proc = run_python(code, "-O")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("1 even order-sum recorded: [(2, '2', 8)")
+    assert proc.stdout.splitlines() == [
+        "1 even order-sum recorded: [(2, '2', 8)]"] * 2
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_soundness_error_keeps_the_blocks_before_it(tmp_path, monkeypatch,
+                                                   workers):
+    # The kernel raises at the first even value, in a worker too; every
+    # block before the bad one is already in the checkpoint file.
+    forge_psi(monkeypatch, 7, (1, 1), 338)
+    path = str(tmp_path / "progress.json")
+    with pytest.raises(SoundnessError) as info:
+        conjecture_sweep(2, 100, workers=workers, checkpoint_path=path,
+                         block_size=10)
+    assert str(info.value) == (
+        "even order-sum recorded: [(49, '7^[1,1]', 338)]")
+    assert load_checkpoint(path).max_done == 41
 
 
 def test_pool_size_is_bounded_by_block_count(monkeypatch):

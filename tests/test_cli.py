@@ -13,7 +13,7 @@ from ordersum.arith import ExactDivisionError
 from ordersum.analysis import CHECKPOINT_VERSION
 from ordersum.psi_core import (group_type_of_order, parse_group_spec,
                                psi_abelian, psi_p_alt)
-from support import run_python
+from support import forge_psi, run_python
 
 
 def run(capsys, *argv):
@@ -705,6 +705,60 @@ def test_soundness_error_is_internal(capsys, monkeypatch):
     code, out, err = run(capsys, "sweep", "conjecture", "--to", "10")
     assert code == 3
     assert err.startswith("internal error: even order-sum recorded")
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("kind", ["conjecture", "divisibility", "image"])
+def test_every_sweep_exits_3_on_an_even_order_sum(capsys, monkeypatch, kind,
+                                                  workers):
+    # Two blocks of 1000 orders, so two workers both scan.
+    forge_psi(monkeypatch, 7, (1, 1), 338)
+    code, out, err = run(capsys, "sweep", kind, "--to", "2000",
+                         "--workers", workers)
+    assert (code, out) == (3, "")
+    assert err == ("internal error: even order-sum recorded: "
+                   "[(49, '7^[1,1]', 338)]\n")
+
+
+@pytest.mark.parametrize("kind", ["conjecture", "divisibility", "image"])
+def test_a_five_above_order_3_exits_3(capsys, monkeypatch, kind):
+    forge_psi(monkeypatch, 5, (1,), 5)
+    code, out, err = run(capsys, "sweep", kind, "--to", "100")
+    assert (code, out) == (3, "")
+    assert err == ("internal error: order-sum below 2n-1 recorded: "
+                   "[(5, '5', 5)]\n")
+
+
+def test_sweep_image_reports_a_five_at_order_3(capsys, monkeypatch):
+    forge_psi(monkeypatch, 3, (1,), 5)
+    code, record, _ = run_json(capsys, "sweep", "image", "--to", "100")
+    assert code == 1
+    assert record["anomaly"] is True
+    assert record["five_orders"] == [3]
+    assert record["values_up_to_3"] == ["1", "3", "5"]
+    assert record["conclusive"] is False
+    assert record["explanation"] == (
+        "value 5 attained at orders [3]; this contradicts the definition, by "
+        "which orders 1..3 have exactly the values 1, 3 and 7, so treat it "
+        "as a defect")
+
+
+def test_relative_checks_the_cap_before_the_closure(capsys, monkeypatch):
+    # The cap is on |G|; building H first would walk 2^20 elements and
+    # then name the closure's size, not the group's.
+    called = []
+    real = cli.subgroup_closure
+
+    def closure(*args, **kwargs):
+        called.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "subgroup_closure", closure)
+    code, out, err = run(capsys, "relative", "2^[21]", "--gen", "1")
+    assert (code, out) == (2, "")
+    assert err == ("error: enumeration of 2097152 elements exceeds the cap of "
+                   "1048576; raise the cap explicitly to force it\n")
+    assert called == []
 
 
 def test_relative_inexact_average_is_internal(capsys, monkeypatch):

@@ -45,8 +45,7 @@ FIELDS = {
     ClosedFormCheck: ("family", "closed", "residual"),
     ClosedFormReport: ("shape", "direct", "checks"),
     SweepCheckpoint: ("max_done", "collisions", "divisible_hits", "version"),
-    SweepOutcome: ("types_scanned", "collisions", "divisible_hits",
-                   "odd_violations", "bound_violations", "five_orders"),
+    SweepOutcome: ("types_scanned", "collisions", "divisible_hits"),
 }
 MUTABLE = (SweepCheckpoint, SweepOutcome)
 FROZEN = tuple(cls for cls in FIELDS if cls not in MUTABLE)
@@ -74,9 +73,8 @@ def _samples() -> dict:
         ClosedFormReport: report,
         SweepCheckpoint: SweepCheckpoint(max_done=4000, collisions=[collision],
                                          divisible_hits=[hit]),
-        SweepOutcome: SweepOutcome(types_scanned=9, divisible_hits=[hit],
-                                   odd_violations=[(9, "3^[2]", 4)],
-                                   five_orders=[7]),
+        SweepOutcome: SweepOutcome(types_scanned=9, collisions=[collision],
+                                   divisible_hits=[hit]),
     }
 
 
@@ -190,8 +188,7 @@ def test_repr_examples():
         "SweepCheckpoint(max_done=0, collisions=[], divisible_hits=[], "
         "version=1)")
     assert repr(SweepOutcome()) == (
-        "SweepOutcome(types_scanned=0, collisions=[], divisible_hits=[], "
-        "odd_violations=[], bound_violations=[], five_orders=[])")
+        "SweepOutcome(types_scanned=0, collisions=[], divisible_hits=[])")
 
 
 @pytest.mark.parametrize("cls", FROZEN_VALUES, ids=_ids(FROZEN_VALUES))
@@ -242,7 +239,7 @@ def test_sweep_state_defaults():
     a, b = SweepOutcome(), SweepOutcome()
     assert a == b and a.collisions is not b.collisions
     a.types_scanned += 1
-    a.five_orders.append(5)
+    a.divisible_hits.append(5)
     assert b == SweepOutcome()
     assert SweepCheckpoint(max_done=3).collisions is not SweepCheckpoint(3).collisions
     assert SweepCheckpoint(3) == SweepCheckpoint(max_done=3, version=1)
