@@ -62,7 +62,7 @@ from .oracle import (
     psi_relative,
     subgroup_closure,
 )
-from .polynomial import psi_symbolic, verify_closed_form
+from .polynomial import verify_closed_form
 from .psi_core import (
     GroupSpecError,
     component_moduli,
@@ -126,9 +126,7 @@ def cmd_compute(args) -> int:
     if args.verify:
         moduli = component_moduli(group)
         t0 = perf_counter()
-        # The trivial group has no cyclic factors to enumerate; its only
-        # element is the identity, of order 1.
-        brute = psi_bruteforce(moduli, max_enum=args.max_enum) if moduli else 1
+        brute = psi_bruteforce(moduli, max_enum=args.max_enum)
         brute_ms = _elapsed_ms(t0)
         match = brute == value
         record["verify"] = {
@@ -170,14 +168,10 @@ def cmd_list(args) -> int:
 def cmd_poly(args) -> int:
     shape = parse_shape(args.shape)
     t0 = perf_counter()
-    try:
-        report = verify_closed_form(shape)
-    except ValueError:
-        poly, closed = psi_symbolic(shape), []
-    else:
-        poly = report.direct
-        closed = [{"family": c.family, "match": c.matches,
-                   "residual": str(c.residual)} for c in report.checks]
+    report = verify_closed_form(shape)
+    poly = report.direct
+    closed = [{"family": c.family, "match": c.matches,
+               "residual": str(c.residual)} for c in report.checks]
     elapsed = _elapsed_ms(t0)
     record = {
         "command": "poly",
@@ -198,18 +192,12 @@ def cmd_poly(args) -> int:
         status = "match" if c["match"] else f"MISMATCH residual {c['residual']}"
         lines.append(f"closed form {c['family']}: {status}")
     _emit(args, record, lines)
-    if closed and not all(c["match"] for c in closed):
-        return EXIT_ANOMALY
-    return EXIT_OK
+    return EXIT_OK if report.all_match else EXIT_ANOMALY
 
 
 def cmd_relative(args) -> int:
     group = parse_group_spec(args.spec)
     moduli = component_moduli(group)
-    if args.gen and not moduli:
-        raise UsageError(
-            "the trivial group has no cyclic factors, so no generators "
-            "can be given")
     gens = args.gen or []
     for gi, g in enumerate(gens, 1):
         if len(g) != len(moduli):
@@ -221,17 +209,12 @@ def cmd_relative(args) -> int:
                 raise UsageError(
                     f"generator {gi}, component {ci}: residue {r} "
                     f"not in [0, {m})")
-    if moduli and group.order > args.max_enum:
+    if group.order > args.max_enum:
         # The cap is on |G|: refuse before the closure walks H.
         raise EnumerationCapError(group.order, args.max_enum)
     t0 = perf_counter()
-    if moduli:
-        subgroup = subgroup_closure(moduli, gens, max_enum=args.max_enum)
-        value = psi_relative(moduli, subgroup, max_enum=args.max_enum)
-    else:
-        # The trivial group has no cyclic factors to enumerate; its only
-        # element is the identity, of relative order 1.
-        subgroup, value = {()}, 1
+    subgroup = subgroup_closure(moduli, gens, max_enum=args.max_enum)
+    value = psi_relative(moduli, subgroup, max_enum=args.max_enum)
     elapsed = _elapsed_ms(t0)
     sub_order = len(subgroup)
     # psi_rel(G, H) = |H| * psi(G/H), so this division is always exact.

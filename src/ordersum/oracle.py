@@ -1,18 +1,20 @@
 """Brute-force ground truth: order sums by direct enumeration.
 
 Everything here works on an explicit presentation of a finite abelian
-group as Z_{m_1} x ... x Z_{m_r} (component moduli, addition mod each
-modulus) and computes from the two facts that define element orders
-there: the residue r of Z_m has order m / gcd(m, r), and an element of a
-direct product has the lcm of its components' orders.  psi_bruteforce
-visits every residue of every factor and counts the group's elements by
-order; psi_relative visits every element of the subgroup and counts the
-group's elements by relative order.  It is deliberately independent of
-the formula modules: no totient, no partitions, no p-group types, no
-closed forms.  The only import from the package is arith's integer
-factorization, which lists the primes of an element order for
-relative_order and the divisors of the exponent for psi_relative.
-The formula side is tested against this module, never the other way round.
+group as Z_{m_1} x ... x Z_{m_r} with r >= 0 (component moduli, each at
+least 2, addition mod each modulus; the empty product, r = 0, is the
+one-element group, whose only element () has order 1) and computes from
+the two facts that define element orders there: the residue r of Z_m has
+order m / gcd(m, r), and an element of a direct product has the lcm of
+its components' orders.  psi_bruteforce visits every residue of every
+factor and counts the group's elements by order; psi_relative visits
+every element of the subgroup and counts the group's elements by
+relative order.  It is deliberately independent of the formula modules:
+no totient, no partitions, no p-group types, no closed forms.  The only
+import from the package is arith's integer factorization, which lists
+the primes of an element order for relative_order and the divisors of
+the exponent for psi_relative.  The formula side is tested against this
+module, never the other way round.
 
 Enumerations are guarded by an element-count cap (default 2**20) on the
 group order, so a typo in a group spec cannot silently start a week-long
@@ -53,8 +55,6 @@ class EnumerationCapError(ValueError):
 
 def _check_moduli(moduli) -> tuple[int, ...]:
     ms = tuple(moduli)
-    if not ms:
-        raise ValueError("need at least one component modulus")
     for i, m in enumerate(ms):
         if not isinstance(m, int) or m < 2:
             raise ValueError(f"component {i}: modulus must be >= 2, got {m!r}")
@@ -67,7 +67,7 @@ def _check_element(moduli: tuple[int, ...], element) -> tuple[int, ...]:
         raise ValueError(
             f"element has {len(e)} components, group has {len(moduli)}")
     for i, (r, m) in enumerate(zip(e, moduli)):
-        if not isinstance(r, int) or not 0 <= r < m:
+        if isinstance(r, bool) or not isinstance(r, int) or not 0 <= r < m:
             raise ValueError(
                 f"component {i}: residue {r!r} not in [0, {m})")
     return e

@@ -8,6 +8,7 @@ import pytest
 
 import ordersum.analysis as analysis
 import ordersum.cli as cli
+import ordersum.polynomial as polynomial
 import ordersum.psi_core as psi_core
 from ordersum.arith import ExactDivisionError
 from ordersum.analysis import CHECKPOINT_VERSION
@@ -258,7 +259,21 @@ def test_relative_trivial_group(capsys):
     assert record["psi_relative"] == "1"
     code, _, err = run(capsys, "relative", "1", "--gen", "0")
     assert code == 2
-    assert "trivial group" in err
+    assert err == ("error: generator 1: has 1 component(s), the group has 0 "
+                   "cyclic factor(s)\n")
+
+
+@pytest.mark.parametrize("argv", [("compute", "1", "--verify"),
+                                  ("relative", "1")])
+def test_trivial_group_counts_against_the_cap(capsys, argv):
+    # The oracle enumerates the one-element group like any other, so the
+    # element cap applies to it as well.
+    code, out, err = run(capsys, *argv, "--max-enum", "0")
+    assert (code, out) == (2, "")
+    assert err == ("error: enumeration of 1 elements exceeds the cap of 0; "
+                   "raise the cap explicitly to force it\n")
+    code, _, _ = run(capsys, *argv, "--max-enum", "1")
+    assert code == 0
 
 
 def test_relative_generator_errors(capsys):
@@ -630,18 +645,20 @@ def test_sweep_json_lists_are_the_checkpoint_lists(capsys, tmp_path):
 
 
 def test_poly_builds_its_polynomial_once(capsys, monkeypatch):
-    # A covered shape takes its polynomial from the closed-form report;
-    # only a shape no closed form covers calls psi_symbolic itself.
+    # Covered or not, the shape's polynomial comes from the one
+    # closed-form report, which builds it once.  The CLI holds no name of
+    # its own for psi_symbolic, so patching the module's counts every call.
+    assert not hasattr(cli, "psi_symbolic")
     calls = []
-    real = cli.psi_symbolic
-    monkeypatch.setattr(cli, "psi_symbolic",
+    real = polynomial.psi_symbolic
+    monkeypatch.setattr(polynomial, "psi_symbolic",
                         lambda shape: calls.append(shape) or real(shape))
     for text, covered in (("[1,2]", True), ("[1,1,2,3]", False)):
         calls.clear()
         code, record, _ = run_json(capsys, "poly", text)
         assert code == 0
         assert bool(record["closed_forms"]) == covered
-        assert len(calls) == (0 if covered else 1)
+        assert len(calls) == 1
 
 
 def test_sweep_resume_bytes_match_single_run(capsys, tmp_path):

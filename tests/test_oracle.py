@@ -35,12 +35,44 @@ def test_group_order():
 
 
 def test_moduli_validation():
-    with pytest.raises(ValueError):
-        psi_bruteforce(())
+    assert psi_bruteforce(()) == 1
     with pytest.raises(ValueError):
         psi_bruteforce((2, 1))
     with pytest.raises(ValueError):
         element_order((0,), (0,))
+
+
+def test_empty_product_is_the_trivial_group():
+    # Z_{m_1} x ... x Z_{m_r} with r = 0 has one element, (), of order 1.
+    assert group_order(()) == 1
+    assert element_order((), ()) == 1
+    assert psi_bruteforce(()) == 1
+    trivial = subgroup_closure((), [])
+    assert trivial == {()}
+    assert subgroup_closure((), [(), ()]) == trivial
+    assert relative_order((), trivial, ()) == 1
+    assert psi_relative((), trivial) == 1
+    # The cap counts elements, and this group has one.
+    for call in (lambda: psi_bruteforce((), max_enum=0),
+                 lambda: psi_relative((), trivial, max_enum=0)):
+        with pytest.raises(EnumerationCapError) as info:
+            call()
+        assert (info.value.size, info.value.cap) == (1, 0)
+    with pytest.raises(ValueError):
+        element_order((), (0,))
+
+
+def test_oracle_rejects_bool_residues():
+    # True is an int to isinstance, but not a residue; psi_core refuses
+    # bools everywhere too.
+    with pytest.raises(ValueError, match="residue True"):
+        element_order((4,), (True,))
+    with pytest.raises(ValueError, match="residue False"):
+        subgroup_closure((4,), [(False,)])
+    with pytest.raises(ValueError, match="residue True"):
+        subgroup_closure((4,), [(True,)])
+    with pytest.raises(ValueError, match="residue True"):
+        relative_order((2, 4), frozenset({(0, 0)}), (1, True))
 
 
 def test_element_order_examples():

@@ -172,8 +172,14 @@ def test_verify_closed_form_residuals_are_zero():
 
 
 def test_verify_closed_form_rejects_uncovered_shape():
-    with pytest.raises(ValueError):
-        verify_closed_form(Partition((1, 2, 2, 3)))
+    # No form covers four parts that are not all 1 (bar a final 2): the
+    # report has no checks, so all_match is vacuously True.
+    shape = Partition((1, 2, 2, 3))
+    report = verify_closed_form(shape)
+    assert report.shape == shape
+    assert report.checks == ()
+    assert report.direct == psi_symbolic(shape)
+    assert report.all_match
 
 
 def test_verify_closed_form_flat_family_large_k():

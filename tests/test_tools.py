@@ -2,6 +2,8 @@
 names that the package's modules import from each other are pinned."""
 
 import ast
+import runpy
+import shutil
 from pathlib import Path
 
 from support import run_python
@@ -21,6 +23,26 @@ def test_code_lines_counts_every_module():
     assert set(counts) == {path.stem for path in
                            (ROOT / "src" / "ordersum").glob("*.py")}
     assert rows[-1] == ["total", str(sum(counts.values()))]
+
+
+def test_same_output_compares_two_trees(capsys, tmp_path):
+    main = runpy.run_path(str(ROOT / "tools" / "same_output.py"))["main"]
+    commands = [["compute", "2^[1,2]*3", "--json"], ["compute", "2^[2,1]"],
+                ["sweep", "image", "--to", "50", "--checkpoint", "r.json"]]
+    assert main([str(ROOT), str(ROOT)], commands) == 0
+    assert capsys.readouterr().out == "3 of 3 identical\n"
+    # Plant one difference: usage errors exit 4 in a copy of the package.
+    shutil.copytree(ROOT / "src" / "ordersum", tmp_path / "src" / "ordersum",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    cli = tmp_path / "src" / "ordersum" / "cli.py"
+    text = cli.read_text(encoding="utf-8")
+    assert "\nEXIT_USAGE = 2\n" in text
+    cli.write_text(text.replace("\nEXIT_USAGE = 2\n", "\nEXIT_USAGE = 4\n"),
+                   encoding="utf-8")
+    assert main([str(ROOT), str(tmp_path)], commands) == 1
+    assert capsys.readouterr().out == (
+        "differs (exit code): ordersum compute 2^[2,1]\n"
+        "2 of 3 identical\n")
 
 
 def test_package_modules_share_only_the_pinned_private_names():
