@@ -14,6 +14,7 @@ import sys
 from ordersum import (
     Partition,
     monotonicity_check,
+    psi_chain,
     psi_cyclic,
     psi_elem_abelian,
     psi_symbolic,
@@ -31,14 +32,15 @@ def check(label: str, ok: bool) -> None:
 
 
 print("The five abelian types of order 2^4, in enumeration order:")
-report = monotonicity_check(4, 2)
-for shape, value in report.entries:
+chain = list(psi_chain(2, 4))
+for shape, value in chain:
     print(f"  shape {str(shape):<10} order-sum {value}")
-check("strictly increasing along the chain", report.strictly_increasing)
+check("strictly increasing along the chain",
+      monotonicity_check(4, 2).strictly_increasing)
 check("chain starts at the flat-type closed form",
-      report.entries[0][1] == psi_elem_abelian(2, 4))
+      chain[0][1] == psi_elem_abelian(2, 4))
 check("chain ends at the cyclic closed form",
-      report.entries[-1][1] == psi_cyclic(2, 4))
+      chain[-1][1] == psi_cyclic(2, 4))
 print()
 
 print("Same check for n up to 16 and p in {2, 3, 5, 7, 11, 13}:")

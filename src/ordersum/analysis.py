@@ -56,6 +56,8 @@ import json
 import os
 import sys
 from bisect import bisect_right
+from collections.abc import Iterable
+from contextlib import contextmanager
 from functools import lru_cache
 from itertools import combinations
 from json.encoder import encode_basestring_ascii as _json_string
@@ -320,29 +322,37 @@ def _json_chunks(value, newline: str, out: list[str]) -> None:
         out.append(json.dumps(value))
 
 
-def write_text_atomic(text: str, path: str) -> None:
-    """Write text to a file atomically: temp file, then rename.
+@contextmanager
+def write_text_atomic(path: str):
+    """Write a file atomically, chunk by chunk: temp file, then rename.
+
+        with write_text_atomic(path) as write:
+            write(chunk)  # once per chunk, in order
 
     The one file writer: checkpoints and the command line's report files
-    both go through it.  A failed write raises
-    CheckpointError("cannot write PATH: reason") and leaves no temp file
-    behind.  The temp file is PATH.PID.tmp, unique to the writing process,
-    so nothing left at PATH.tmp is in its way.
+    both go through it, so a text made in chunks is never held whole.
+    The chunks go to PATH.PID.tmp, unique to the writing process, so
+    nothing left at PATH.tmp is in its way; that file replaces PATH when
+    the block ends.  An OSError in the block, or a failed open or rename,
+    raises CheckpointError("cannot write PATH: reason").  Whatever ends
+    the block early leaves no temp file behind and PATH as it was.
     """
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            yield fh.write
         os.replace(tmp, path)
     except OSError as exc:
+        raise CheckpointError(f"cannot write {path}: {exc.strerror}") from exc
+    finally:
         if os.path.isfile(tmp):
             os.remove(tmp)
-        raise CheckpointError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def save_checkpoint(checkpoint: SweepCheckpoint, path: str) -> None:
     """Write a checkpoint's JSON text atomically (write_text_atomic)."""
-    write_text_atomic(json_text(checkpoint.to_json_obj()), path)
+    with write_text_atomic(path) as write:
+        write(json_text(checkpoint.to_json_obj()))
 
 
 def load_checkpoint(path: str) -> SweepCheckpoint:
@@ -603,13 +613,16 @@ def image_probe(max_order: int, *, workers: int = 1) -> ImageReport:
 
 
 class MonotonicityReport(FrozenRecord):
-    """Order-sums along the partition chain of p^n, in enumeration order."""
+    """Order-sums along the partition chain of p^n, in enumeration order.
 
-    __slots__ = ("n", "p", "entries", "violations",
+    types counts the chain's entries; psi_chain(p, n) gives the entries.
+    """
+
+    __slots__ = ("n", "p", "types", "violations",
                  "first_matches_flat_formula", "last_matches_cyclic_formula")
     n: int
     p: int
-    entries: tuple[tuple[Partition, int], ...]
+    types: int
     violations: tuple[tuple[Partition, Partition], ...]
     first_matches_flat_formula: bool
     last_matches_cyclic_formula: bool
@@ -625,29 +638,40 @@ class MonotonicityReport(FrozenRecord):
                 and self.last_matches_cyclic_formula)
 
 
-def monotonicity_check(n: int, p: int) -> MonotonicityReport:
-    """Evaluate the order-sum along all p-group types of order p^n.
+def monotonicity_check(n: int, p: int,
+                       entries: Iterable[tuple[Partition, int]] | None = None
+                       ) -> MonotonicityReport:
+    """Fold the order-sums of all p-group types of order p^n into a report.
 
     In the partition enumeration order the values are expected to be
     strictly increasing, from the all-ones type (whose value the flat-type
     closed form gives) up to the single-part cyclic type (whose value the
     cyclic closed form gives).  A non-monotonic chain is reported, not
     assumed away; it is the cheapest whole-row cross-check the formulas
-    have.  The entries are one psi_core.psi_chain call, which updates
-    each value from the one before it along the partition walk and
-    leaves the _psi_band_sum cache untouched; the two endpoint checks run
-    the Corollary 2 closed forms, a route independent of the band sum.
-    n must be an int (not a bool) and p a prime, or ValueError is raised
+    have.  entries is the chain, psi_core.psi_chain(p, n) unless a caller
+    hands in that chain wrapped (the command line writes each entry's
+    JSON text as it passes).  It is read once, one entry at a time: the
+    fold keeps the count, the previous entry and the violations, so
+    memory does not grow with the chain.  The two endpoint checks run the
+    Corollary 2 closed forms, a route independent of the chain's.  n must
+    be an int (not a bool) and p a prime, or psi_chain raises ValueError
     before any work.
     """
-    entries = tuple(psi_chain(p, n))
-    violations = tuple(
-        (a, b) for (a, va), (b, vb) in zip(entries, entries[1:]) if va >= vb)
+    if entries is None:
+        entries = psi_chain(p, n)
+    entries = iter(entries)
+    before, first = next(entries)
+    last, types, violations = first, 1, []
+    for shape, value in entries:
+        if last >= value:
+            violations.append((before, shape))
+        before, last = shape, value
+        types += 1
     return MonotonicityReport(
         n=n,
         p=p,
-        entries=entries,
-        violations=violations,
-        first_matches_flat_formula=entries[0][1] == psi_elem_abelian(p, n),
-        last_matches_cyclic_formula=entries[-1][1] == psi_cyclic(p, n),
+        types=types,
+        violations=tuple(violations),
+        first_matches_flat_formula=first == psi_elem_abelian(p, n),
+        last_matches_cyclic_formula=last == psi_cyclic(p, n),
     )

@@ -14,7 +14,7 @@ Subcommands:
                     --checkpoint PATH (progress file), --resume
     image           --to N (required), --workers N, --checkpoint PATH
                     (report file)
-    monotonicity    --n N (1..50) and --p P (both required), --checkpoint
+    monotonicity    --n N (1..60) and --p P (both required), --checkpoint
                     PATH (report file)
 
 Every command takes --json; a sweep's report file holds the same JSON
@@ -39,7 +39,9 @@ strings so nothing is ever rounded.
 
 import argparse
 import os
+import shutil
 import sys
+from contextlib import nullcontext
 from functools import cache
 from time import perf_counter
 
@@ -71,6 +73,7 @@ from .psi_core import (
     parse_group_spec,
     parse_shape,
     psi_abelian,
+    psi_chain,
     type_labels,
     type_psis,
 )
@@ -91,11 +94,14 @@ def _emit(args, record: dict, human_lines: list[str],
     # A report file holds the same JSON text that --json prints, built once.
     text = json_text(record) if args.json or report is not None else None
     if report is not None:
-        write_text_atomic(text, report)
+        with write_text_atomic(report) as write:
+            write(text)
         human_lines.append(f"report written to {report}")
     # print() writes the final newline on its own.  Under python -u a write
     # cut short by a closed pipe raises nothing, so it is that last write
-    # which raises the BrokenPipeError entry() reports.
+    # which raises the BrokenPipeError entry() reports.  (sweep
+    # monotonicity writes its chain as it is made, so there any write can
+    # raise it.)
     print(text.removesuffix("\n") if args.json else "\n".join(human_lines))
 
 
@@ -339,34 +345,68 @@ def _sweep_image(args) -> int:
     return EXIT_ANOMALY if anomaly else EXIT_OK
 
 
+def _written(entries, write):
+    """The chain's entries, unchanged, each written first as JSON text.
+
+    The text of the record's "chain" list, opening the record: its key
+    sorts first, so the record's other keys follow it.
+    """
+    lead = '{\n  "chain": ['
+    for shape, value in entries:
+        write(f'{lead}\n    {{\n      "psi": "{value!s}",'
+              f'\n      "shape": "{shape!s}"\n    }}')
+        lead = ","
+        yield shape, value
+
+
 def _sweep_monotonicity(args) -> int:
-    t0 = perf_counter()
-    report = monotonicity_check(args.n, args.p)
-    elapsed = _elapsed_ms(t0)
-    record = {
-        "command": "sweep",
-        "kind": "monotonicity",
-        "n": report.n,
-        "p": report.p,
-        "types": len(report.entries),
-        "chain": [{"shape": str(shape), "psi": str(value)}
-                  for shape, value in report.entries],
-        "violations": [[str(a), str(b)] for a, b in report.violations],
-        "first_matches_flat_formula": report.first_matches_flat_formula,
-        "last_matches_cyclic_formula": report.last_matches_cyclic_formula,
-        "ok": report.ok,
-        "elapsed_ms": elapsed,
-    }
-    lines = [
-        f"monotonicity chain for p={report.p}, exponent n={report.n}: "
-        f"{len(report.entries)} types ({elapsed} ms)",
-        f"strictly increasing: {'yes' if report.strictly_increasing else 'NO'}",
-        "endpoints match closed forms: "
-        f"{'yes' if report.first_matches_flat_formula and report.last_matches_cyclic_formula else 'NO'}",
-    ]
-    for a, b in report.violations:
-        lines.append(f"  violation: psi({a}) >= psi({b})")
-    _emit(args, record, lines, report=args.checkpoint)
+    # The chain's JSON text is written as monotonicity_check folds it: to
+    # the report file if there is one (--json then prints that file's
+    # bytes), else to stdout under --json.  Only the fold's entry is held,
+    # so memory does not grow with the chain.  elapsed_ms, which sorts
+    # after "chain", includes that writing.
+    path = args.checkpoint
+    if path is not None:
+        sink = write_text_atomic(path)
+    else:
+        sink = nullcontext(sys.stdout.write if args.json else None)
+    with sink as write:
+        t0 = perf_counter()
+        entries = psi_chain(args.p, args.n)
+        report = monotonicity_check(
+            args.n, args.p,
+            entries=entries if write is None else _written(entries, write))
+        elapsed = _elapsed_ms(t0)
+        if write is not None:
+            rest = {
+                "command": "sweep",
+                "kind": "monotonicity",
+                "n": report.n,
+                "p": report.p,
+                "types": report.types,
+                "violations": [[str(a), str(b)] for a, b in report.violations],
+                "first_matches_flat_formula": report.first_matches_flat_formula,
+                "last_matches_cyclic_formula": report.last_matches_cyclic_formula,
+                "ok": report.ok,
+                "elapsed_ms": elapsed,
+            }
+            write("\n  ]," + json_text(rest)[1:])
+    if args.json and path is not None:
+        with open(path, encoding="utf-8") as fh:
+            shutil.copyfileobj(fh, sys.stdout)
+    elif not args.json:
+        lines = [
+            f"monotonicity chain for p={report.p}, exponent n={report.n}: "
+            f"{report.types} types ({elapsed} ms)",
+            f"strictly increasing: {'yes' if report.strictly_increasing else 'NO'}",
+            "endpoints match closed forms: "
+            f"{'yes' if report.first_matches_flat_formula and report.last_matches_cyclic_formula else 'NO'}",
+        ]
+        for a, b in report.violations:
+            lines.append(f"  violation: psi({a}) >= psi({b})")
+        if path is not None:
+            lines.append(f"report written to {path}")
+        print("\n".join(lines))
     return EXIT_OK if report.ok else EXIT_ANOMALY
 
 
@@ -389,10 +429,12 @@ _NATURAL = _int_type(lambda n: n >= 0, "an integer >= 0")
 _POSITIVE = _int_type(lambda n: n >= 1, "an integer >= 1")
 _ORDER_FROM = _int_type(lambda n: n >= 2, "an integer >= 2")
 _PRIME = _int_type(is_prime, "a prime")
-# sweep monotonicity holds every partition of n in memory, p(n) of them:
-# 204226 at n = 50, where a run peaks near 200 MiB and a --json run near
-# 380 MiB (ru_maxrss, CPython 3.11 on Linux), and 5.4 million at n = 72.
-MAX_CHAIN_EXPONENT = 50
+# sweep monotonicity streams its chain, so memory stays near 16 MiB at
+# any n (ru_maxrss, CPython 3.11 on Linux); time and output grow with the
+# p(n) shapes instead, about 1.17-fold per step of n.  At n = 60 (966467
+# shapes, p = 997) a run takes about 4 s, and a --json run about 10 s for
+# 298 MB of text, on two shared cores.
+MAX_CHAIN_EXPONENT = 60
 _CHAIN_EXPONENT = _int_type(lambda n: 1 <= n <= MAX_CHAIN_EXPONENT,
                             f"an integer from 1 to {MAX_CHAIN_EXPONENT}")
 

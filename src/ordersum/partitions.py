@@ -76,7 +76,7 @@ class Partition(FrozenRecord):
         return len(self.parts)
 
     def __str__(self) -> str:
-        return "[" + ",".join(str(a) for a in self.parts) + "]"
+        return "[" + ",".join(map(str, self.parts)) + "]"
 
 
 def to_padded_tuple(partition: Partition) -> tuple[int, ...]:

@@ -47,6 +47,7 @@ those forms is provably exact and is checked at runtime.
 """
 
 import re
+from collections.abc import Iterator
 from functools import lru_cache
 from itertools import product
 from math import prod
@@ -228,8 +229,13 @@ def _shared_powers(p: int, degree: int):
     return powers, geometric
 
 
-def psi_chain(p: int, n: int) -> list[tuple[Partition, int]]:
+def psi_chain(p: int, n: int) -> Iterator[tuple[Partition, int]]:
     """(shape, psi) of every p-group type of order p^n, in enumeration order.
+
+    An iterator that holds one entry at a time, so memory does not grow
+    with the p(n) shapes of the chain.  p and n are checked when it is
+    called, before the iterator exists: a p that is not a prime, or an n
+    that is not an int >= 1, raises ValueError at the call.
 
     The band sum read from the largest part down.  With descending parts
     b_1 >= ... >= b_k, S_i = b_1 + ... + b_i, b_{k+1} = 0 and
@@ -248,6 +254,10 @@ def psi_chain(p: int, n: int) -> list[tuple[Partition, int]]:
     chain; the _psi_band_sum cache is left alone.
     """
     _check_prime_exponent(p, n, minimum=1)
+    return _chain_entries(p, n)
+
+
+def _chain_entries(p: int, n: int) -> Iterator[tuple[Partition, int]]:
     powers, geometric = _shared_powers(p, 2 * n)
     unchecked = Partition._unchecked
     walk = _walk(n)
@@ -258,7 +268,7 @@ def psi_chain(p: int, n: int) -> list[tuple[Partition, int]]:
     # still current.  The all-ones start has one term, T_n = 1.
     head = [0] * n
     p1 = p - 1
-    chain = [(unchecked((1,) * n), powers[n + 1] - p1)]
+    yield unchecked((1,) * n), powers[n + 1] - p1
     for desc, j in walk:
         b = desc[j]
         r = len(desc) - j - 1  # n - S_J
@@ -271,9 +281,7 @@ def psi_chain(p: int, n: int) -> list[tuple[Partition, int]]:
             done += powers[j + 2 + r] * geometric(j + 2, b - 1) + 1
         else:  # T_J is the last term
             done += geometric(j + 2, b)
-        chain.append((unchecked(tuple(desc[::-1])),
-                      powers[n + desc[0]] - p1 * done))
-    return chain
+        yield unchecked(tuple(desc[::-1])), powers[n + desc[0]] - p1 * done
 
 
 def psi_p(group: PGroupType) -> int:

@@ -32,6 +32,7 @@ from ordersum.psi_core import (
     group_type_of_order,
     parse_group_spec,
     psi_abelian,
+    psi_chain,
     psi_cyclic,
     psi_elem_abelian,
     psi_near_elem,
@@ -154,8 +155,10 @@ def test_criterion_05():
         for p in PRIMES:
             report = monotonicity_check(n, p)
             assert report.violations == (), (n, p)
-            assert report.entries[0][1] == psi_elem_abelian(p, n)
-            assert report.entries[-1][1] == psi_cyclic(p, n)
+            chain = list(psi_chain(p, n))
+            assert report.types == len(chain)
+            assert chain[0][1] == psi_elem_abelian(p, n)
+            assert chain[-1][1] == psi_cyclic(p, n)
             assert report.ok
             chains += 1
     elapsed = perf_counter() - t0

@@ -31,15 +31,17 @@ from ordersum.partitions import partitions_of
 from ordersum.oracle import psi_bruteforce
 from ordersum.psi_core import (component_moduli, format_group_spec,
                                group_type_of_order, parse_group_spec,
-                               psi_abelian)
+                               psi_abelian, psi_chain)
 from support import forge_psi, run_python
 
 
 def test_monotonicity_chain_n4_p2():
     report = monotonicity_check(4, 2)
-    assert [tuple(s.parts) for s, _ in report.entries] == [
+    chain = list(psi_chain(2, 4))
+    assert [tuple(s.parts) for s, _ in chain] == [
         (1, 1, 1, 1), (1, 1, 2), (2, 2), (1, 3), (4,)]
-    assert [v for _, v in report.entries] == [31, 47, 55, 87, 171]
+    assert [v for _, v in chain] == [31, 47, 55, 87, 171]
+    assert report.types == 5
     assert report.violations == ()
     assert report.strictly_increasing
     assert report.first_matches_flat_formula
@@ -49,14 +51,15 @@ def test_monotonicity_chain_n4_p2():
 
 def test_monotonicity_chain_n3_p2():
     report = monotonicity_check(3, 2)
-    assert [v for _, v in report.entries] == [15, 23, 43]
+    assert [v for _, v in psi_chain(2, 3)] == [15, 23, 43]
+    assert report.types == 3
     assert report.ok
 
 
 def test_monotonicity_single_entry():
     for p in (2, 7):
         report = monotonicity_check(1, p)
-        assert len(report.entries) == 1
+        assert report.types == 1
         assert report.ok
 
 
@@ -64,8 +67,24 @@ def test_monotonicity_chain_length_and_ranges():
     for n in range(1, 13):
         for p in (2, 3):
             report = monotonicity_check(n, p)
-            assert len(report.entries) == len(partitions_of(n))
+            assert report.types == len(partitions_of(n))
             assert report.ok, (n, p)
+
+
+def test_monotonicity_folds_a_handed_in_chain():
+    # One pass over the entries: the count, each dip as a violation, and
+    # the endpoints against the closed forms.
+    chain = list(psi_chain(2, 5))
+    chain[2], chain[3] = chain[3], chain[2]
+    report = monotonicity_check(5, 2, entries=iter(chain))
+    assert report.types == len(chain) == 7
+    assert report.violations == ((chain[2][0], chain[3][0]),)
+    assert report.first_matches_flat_formula
+    assert report.last_matches_cyclic_formula
+    assert not report.ok
+    chain[-1] = (chain[-1][0], chain[-1][1] - 2)
+    report = monotonicity_check(5, 2, entries=chain)
+    assert not report.last_matches_cyclic_formula
 
 
 def test_monotonicity_rejects_bad_input():
@@ -763,9 +782,11 @@ def test_monotonicity_rejects_bool_and_float_input():
 def test_monotonicity_row_leaves_the_band_sum_cache_alone():
     before = psi_core._psi_band_sum.cache_info().currsize
     report = monotonicity_check(25, 991)
+    chain = [v for _, v in psi_chain(991, 25)]
     assert psi_core._psi_band_sum.cache_info().currsize == before
     assert report.ok
-    assert [v for _, v in report.entries] == [
+    assert report.types == len(chain)
+    assert chain == [
         psi_core.psi_p_alt(psi_core.PGroupType(991, shape))
         for shape in partitions_of(25)]
 

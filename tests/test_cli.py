@@ -1,8 +1,12 @@
 """End-to-end tests of the command line, driven through main(argv)."""
 
+import errno
 import json
+import os
 import re
 import sys
+import tracemalloc
+from contextlib import redirect_stdout
 
 import pytest
 
@@ -13,7 +17,8 @@ import ordersum.psi_core as psi_core
 from ordersum.arith import ExactDivisionError
 from ordersum.analysis import CHECKPOINT_VERSION
 from ordersum.psi_core import (group_type_of_order, parse_group_spec,
-                               psi_abelian, psi_p_alt)
+                               psi_abelian, psi_chain, psi_cyclic,
+                               psi_elem_abelian, psi_p_alt)
 from support import forge_psi, run_python
 
 
@@ -318,24 +323,24 @@ def test_sweep_flag_validation(capsys):
 
 
 def test_monotonicity_exponent_is_bounded(capsys, monkeypatch):
-    # The chain holds all p(n) partitions of n; past the bound the parser
-    # refuses n before monotonicity_check enumerates any of them.
+    # The chain's time and text grow with its p(n) shapes; past the bound
+    # the parser refuses n before monotonicity_check walks any of them.
     seen = []
 
-    def chain(n, p):
+    def chain(n, p, entries):
         seen.append(n)
         raise cli.UsageError("stopped before enumerating")
     monkeypatch.setattr(cli, "monotonicity_check", chain)
-    code, out, err = run(capsys, "sweep", "monotonicity", "--n", "51",
+    code, out, err = run(capsys, "sweep", "monotonicity", "--n", "61",
                          "--p", "2")
     assert (code, out, seen) == (2, "", [])
-    assert err.endswith("error: argument --n: '51' is not an integer "
-                        "from 1 to 50\n")
-    code, _, err = run(capsys, "sweep", "monotonicity", "--n", "50", "--p", "2")
-    assert (code, err, seen) == (2, "error: stopped before enumerating\n", [50])
+    assert err.endswith("error: argument --n: '61' is not an integer "
+                        "from 1 to 60\n")
+    code, _, err = run(capsys, "sweep", "monotonicity", "--n", "60", "--p", "2")
+    assert (code, err, seen) == (2, "error: stopped before enumerating\n", [60])
     code, out, _ = run(capsys, "sweep", "monotonicity", "--help")
     assert code == 0
-    assert "from 1 to 50" in out
+    assert "from 1 to 60" in out
 
 
 @pytest.mark.parametrize("usage, argv, unknown", [
@@ -966,3 +971,127 @@ def test_closed_stdout_pipe_exits_141_without_traceback():
         "print(child.wait(timeout=60), head[:1], repr(err))\n")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["141", "b'{'", "b''"]
+
+
+def _chain_record(n, p, chain, elapsed_ms):
+    # The sweep monotonicity record, built whole from a listed chain.
+    violations = [[str(a), str(b)] for (a, va), (b, vb)
+                  in zip(chain, chain[1:]) if va >= vb]
+    first = chain[0][1] == psi_elem_abelian(p, n)
+    last = chain[-1][1] == psi_cyclic(p, n)
+    return {
+        "command": "sweep",
+        "kind": "monotonicity",
+        "n": n,
+        "p": p,
+        "types": len(chain),
+        "chain": [{"shape": str(shape), "psi": str(value)}
+                  for shape, value in chain],
+        "violations": violations,
+        "first_matches_flat_formula": first,
+        "last_matches_cyclic_formula": last,
+        "ok": not violations and first and last,
+        "elapsed_ms": elapsed_ms,
+    }
+
+
+@pytest.mark.parametrize("json_out, report", [(True, False), (False, True),
+                                              (True, True)],
+                         ids=["json", "report", "json-and-report"])
+@pytest.mark.parametrize("p", [2, 3, 997])
+def test_streamed_chain_is_the_json_text_of_the_whole_record(
+        capsys, tmp_path, p, json_out, report):
+    path = tmp_path / "chain.json"
+    flags = ["--json"] * json_out + ["--checkpoint", str(path)] * report
+    for n in range(1, 21):
+        code, out, err = run(capsys, "sweep", "monotonicity", "--n", str(n),
+                             "--p", str(p), *flags)
+        assert (code, err) == (0, ""), (n, p)
+        texts = [out] if json_out else []
+        if report:
+            texts.append(path.read_text(encoding="utf-8"))
+        for text in texts:
+            record = _chain_record(n, p, list(psi_chain(p, n)),
+                                   json.loads(text)["elapsed_ms"])
+            assert text == analysis.json_text(record), (n, p, flags)
+        if not json_out:
+            assert out.endswith(f"report written to {path}\n")
+        assert [f.name for f in tmp_path.iterdir()] == ["chain.json"] * report
+
+
+def test_streamed_chain_reports_its_violations(capsys, tmp_path, monkeypatch):
+    # A chain that dips once and ends off the cyclic form: the violation
+    # and both verdicts follow the streamed chain in the same record.
+    forged = list(psi_chain(3, 6))
+    forged[4], forged[5] = forged[5], forged[4]
+    forged[-1] = (forged[-1][0], forged[-1][1] + 2)
+    monkeypatch.setattr(cli, "psi_chain", lambda p, n: iter(forged))
+    path = tmp_path / "chain.json"
+    code, out, _ = run(capsys, "sweep", "monotonicity", "--n", "6",
+                       "--p", "3", "--json", "--checkpoint", str(path))
+    record = _chain_record(6, 3, forged, json.loads(out)["elapsed_ms"])
+    assert code == 1
+    assert record["violations"] == [[str(forged[4][0]), str(forged[5][0])]]
+    assert record["last_matches_cyclic_formula"] is False
+    assert out == path.read_text(encoding="utf-8") == analysis.json_text(record)
+    code, out, _ = run(capsys, "sweep", "monotonicity", "--n", "6", "--p", "3")
+    assert code == 1
+    assert (f"  violation: psi({forged[4][0]}) >= psi({forged[5][0]})"
+            in out.splitlines())
+
+
+def _json_request_peak(n: int) -> int:
+    # Peak traced memory of one in-process --json request, its stdout
+    # sent to the null device so the text is not kept.
+    with open(os.devnull, "w") as sink, redirect_stdout(sink):
+        tracemalloc.start()
+        try:
+            code = cli.main(["sweep", "monotonicity", "--n", str(n),
+                             "--p", "997", "--json"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    return peak
+
+
+def test_json_chain_memory_does_not_grow_with_the_chain():
+    # n = 40 has 37338 shapes to n = 30's 5604; a chain held whole peaks
+    # near 57 MB at n = 40, a streamed one within a few hundred kB.
+    _json_request_peak(1)  # the parser, built once per process
+    assert _json_request_peak(40) < _json_request_peak(30) + 1024 * 1024
+
+
+def test_failed_report_write_leaves_no_file(capsys, tmp_path, monkeypatch):
+    # The file system fills up partway through the chain: the report is
+    # not replaced, no temp file stays, and --json prints nothing.
+    real_open = open
+
+    class Full:
+        def __init__(self, path, *args, **kwargs):
+            self.fh = real_open(path, *args, **kwargs)
+            self.room = 4096
+
+        def write(self, text):
+            if len(text) > self.room:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            self.room -= len(text)
+            return self.fh.write(text)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+    monkeypatch.setattr(analysis, "open", Full, raising=False)
+    fresh, kept = tmp_path / "fresh.json", tmp_path / "kept.json"
+    kept.write_text("old report\n", encoding="utf-8")
+    for path in (fresh, kept):
+        code, out, err = run(capsys, "sweep", "monotonicity", "--n", "12",
+                             "--p", "3", "--json", "--checkpoint", str(path))
+        assert (code, out) == (2, "")
+        assert err == (f"error: cannot write {path}: "
+                       f"{os.strerror(errno.ENOSPC)}\n")
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["kept.json"]
+    assert kept.read_text(encoding="utf-8") == "old report\n"

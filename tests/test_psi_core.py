@@ -423,14 +423,14 @@ def test_psi_row_rejects_a_non_prime(p):
 @pytest.mark.parametrize("p", [2, 3, 997])
 def test_psi_chain_matches_the_per_alpha_reference(p):
     for n in range(1, 13):
-        assert psi_chain(p, n) == [(s, psi_p_alt(PGroupType(p, s)))
-                                   for s in partitions_of(n)], n
+        assert list(psi_chain(p, n)) == [(s, psi_p_alt(PGroupType(p, s)))
+                                         for s in partitions_of(n)], n
 
 
 @pytest.mark.parametrize("p, n", [(991, 30), (2, 40)])
 def test_psi_chain_matches_the_row(p, n):
     shapes = partitions_of(n)
-    assert psi_chain(p, n) == list(zip(shapes, psi_row(p, shapes)))
+    assert list(psi_chain(p, n)) == list(zip(shapes, psi_row(p, shapes)))
 
 
 def test_psi_chain_walks_the_successor_order():
@@ -441,9 +441,16 @@ def test_psi_chain_walks_the_successor_order():
         assert [lex_successor(s) for s in chain] == chain[1:] + [None]
 
 
+def test_psi_chain_is_a_one_pass_iterator():
+    chain = psi_chain(3, 6)
+    assert iter(chain) is chain
+    assert len(list(chain)) == reference_partition_count(6)
+    assert list(chain) == []
+
+
 def test_psi_chain_leaves_the_band_sum_cache_alone():
     before = psi_core._psi_band_sum.cache_info().currsize
-    psi_chain(7, 18)
+    list(psi_chain(7, 18))
     assert psi_core._psi_band_sum.cache_info().currsize == before
 
 
@@ -454,7 +461,7 @@ def test_the_walk_builds_no_validated_partition(monkeypatch):
     with pytest.raises(AssertionError):
         Partition((1, 2))
     assert len(partitions_of(20)) == reference_partition_count(20)
-    assert len(psi_chain(5, 20)) == reference_partition_count(20)
+    assert len(list(psi_chain(5, 20))) == reference_partition_count(20)
 
 
 def _count_checks(monkeypatch) -> dict:

@@ -39,7 +39,7 @@ FIELDS = {
     DivisibleRecord: ("order", "group", "psi", "quotient"),
     ImageReport: ("max_order", "types_scanned", "values_up_to_3", "all_odd",
                   "bound_holds", "five_orders", "conclusive", "explanation"),
-    MonotonicityReport: ("n", "p", "entries", "violations",
+    MonotonicityReport: ("n", "p", "types", "violations",
                          "first_matches_flat_formula",
                          "last_matches_cyclic_formula"),
     ClosedFormCheck: ("family", "closed", "residual"),
@@ -178,8 +178,7 @@ def test_repr_examples():
         "AbelianGroupType(components=(PGroupType(p=13, shape=Partition("
         "parts=(1, 1))), PGroupType(p=23, shape=Partition(parts=(1,)))))")
     assert repr(monotonicity_check(2, 2)) == (
-        "MonotonicityReport(n=2, p=2, entries=((Partition(parts=(1, 1)), 7), "
-        "(Partition(parts=(2,)), 11)), violations=(), "
+        "MonotonicityReport(n=2, p=2, types=2, violations=(), "
         "first_matches_flat_formula=True, last_matches_cyclic_formula=True)")
     assert repr(verify_closed_form(Partition((2,))).checks[0]) == (
         "ClosedFormCheck(family='corollary2a', "

@@ -60,6 +60,8 @@ COMMANDS = [
     ["sweep", "monotonicity", "--n", "12", "--p", "3", "--json",
      "--checkpoint", "chain.json"],
     ["sweep", "monotonicity", "--n", "12", "--p", "4"],
+    ["sweep", "monotonicity", "--n", "30", "--p", "997", "--json"],
+    ["sweep", "monotonicity", "--n", "50", "--p", "2", "--json"],
     ["sweep", "image", "--from", "2", "--to", "10"],
     [],
 ]
