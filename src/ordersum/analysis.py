@@ -20,24 +20,31 @@ either proved fact means the formulas are broken, not that something was
 found, so the scan kernel raises SoundnessError at the first such value,
 in every sweep and under python -O alike.
 
-The scan kernel (_scan_range) never builds a type.  It reads each order
-from psi_core's type table: psi_core.type_psis folds one psi value per
-(p, shape) into the values of all types of the order, with one
-multiplication per type, and psi_core.type_labels gives their spec texts
-in the same order, built only for an order that keeps a record.  The
-per-prime values are cached only for shapes of order p^2 or more, so the
-cache is bounded by the primes up to the square root of the range.
+The scan kernel (_scan_range) sieves the order-sums, not the
+factorizations.  Dividing each prime p up to the square root out of a
+block's orders, it multiplies an order's common factor by psi(Z_p) where p
+divides the order once, and adds (p, e) to the order's powerful part where
+p^e exactly divides it with e >= 2; a cofactor left above 1 is a prime r
+and adds psi(Z_r).  An order with no powerful part (61% of the orders in
+1e6..2e6) has one type, and its value is its common factor.  An order with
+one has a value per type: the common factor times each value psi_core's
+type table (type_psis) gives for the powerful part, folded once per
+pattern of the block.  Every per-prime value comes through psi_core, by
+prime_psis or type_psis, and type_labels gives the spec texts, built only
+for an order that keeps a record.  The per-prime values are cached only
+for shapes of order p^2 or more, so the cache is bounded by the primes up
+to the square root of the range.
 
 Long sweeps persist progress in a small JSON checkpoint.  Checkpoints are
 written atomically (temp file + rename), carry a format version that is
 checked before anything else, and record the largest fully-scanned order,
 so a resumed sweep continues exactly where the file says and the final
 state is byte-identical to an uninterrupted run.  The range is split into
-fixed blocks, and each block factors its own orders with a segmented sieve
-over the primes up to the square root of its last order, so memory is per
-block and does not grow with the range.  Worker parallelism hands blocks to
-forked processes; a task is just the block's two bounds, so workers inherit
-no shared state.  Results are merged in block order, so worker count never
+fixed blocks, and each block sieves its own orders over the primes up to
+the square root of its last order, so memory is per block and does not
+grow with the range.  Worker parallelism hands blocks to forked
+processes; a task is just the block's two bounds, so workers inherit no
+shared state.  Results are merged in block order, so worker count never
 changes any output.
 
 One codec reads and writes every object in a checkpoint.  A found record
@@ -68,6 +75,7 @@ from .arith import factorize, smallest_prime_factors
 from .partitions import Partition
 from .psi_core import (
     parse_decimal,
+    prime_psis,
     psi_chain,
     psi_cyclic,
     psi_elem_abelian,
@@ -402,63 +410,94 @@ def _primes_up_to(limit: int) -> tuple[int, ...]:
     return primes[:bisect_right(primes, limit)]
 
 
-def _factor_block(start: int, stop: int) -> list[list[tuple[int, int]]]:
-    """Sorted (prime, exponent) pairs of every n in [start, stop], in order.
-
-    A segmented sieve: each prime up to isqrt(stop) is divided out of the
-    block's residues.  A cofactor left above 1 has no prime factor up to
-    isqrt(stop), so it is itself prime.
-    """
-    residues = list(range(start, stop + 1))
-    factors: list[list[tuple[int, int]]] = [[] for _ in residues]
-    for p in _primes_up_to(isqrt(stop)):
-        for i in range(-start % p, len(residues), p):
-            e = 0
-            while residues[i] % p == 0:
-                residues[i] //= p
-                e += 1
-            factors[i].append((p, e))
-    return [pairs + [(r, 1)] if r > 1 else pairs
-            for r, pairs in zip(residues, factors)]
-
-
 def _scan_range(bounds: tuple[int, int]) -> SweepOutcome:
     """Scan every order in [start, stop] for collisions and divisibility hits.
 
-    A pure function of its bounds, so it is also the pool task.  The
-    values of an order's types come from type_psis; their labels, from
-    type_labels in the same order, are built only when the order keeps a
-    record or breaks a proved fact.  The first value that is even or below
-    2n - 1 raises SoundnessError, naming (n, label, value); a raise, not an
-    assert, so the check also runs under python -O, and in a worker it
-    reaches the parent through the pool.
+    A pure function of its bounds, so it is also the pool task.  The sieve
+    the module docstring describes leaves each order's residue, common
+    factor and powerful part.  type_psis of a powerful part is taken once
+    per pattern of the block, and nothing folded here outlives the call,
+    so each call reads the per-prime values as they are when it runs.
+    Every per-prime value comes from prime_psis or type_psis, so through
+    psi_core._psi_prime_power.
+
+    Labels, from type_labels of the order's factorization in the same
+    order, are built only when the order keeps a record or breaks a proved
+    fact.  The first value that is even or below 2n - 1, in (order, type
+    index) order, raises SoundnessError naming (n, label, value); a raise,
+    not an assert, so the check also runs under python -O, and in a worker
+    it reaches the parent through the pool.
     """
     start, stop = bounds
+    size = stop - start + 1
+    residues = list(range(start, stop + 1))
+    common = [1] * size
+    powerful: list[tuple[tuple[int, int], ...]] = [()] * size
+    primes = _primes_up_to(isqrt(stop))
+    for p, psi in zip(primes, prime_psis(primes)):
+        for i in range(-start % p, size, p):
+            r = residues[i] // p
+            if r % p:
+                residues[i] = r
+                common[i] *= psi
+                continue
+            e = 2
+            r //= p
+            while r % p == 0:
+                r //= p
+                e += 1
+            residues[i] = r
+            powerful[i] += ((p, e),)
+    cofactors = iter(prime_psis([r for r in residues if r > 1]))
+    patterns: dict[tuple, tuple[list[int], bool]] = {}
     out = SweepOutcome()
-    for n, factorization in enumerate(_factor_block(start, stop), start):
-        values = type_psis(factorization)
-        out.types_scanned += len(values)
-        labels = None
-        for i, value in enumerate(values):
-            if value % 2 and value >= 2 * n - 1 and (n < 2 or value % n):
+    types = 0
+    for n, r, value, pattern in zip(range(start, stop + 1), residues, common,
+                                    powerful):
+        if r > 1:
+            value *= next(cofactors)
+        if not pattern:
+            types += 1
+            if value % 2 and value >= 2 * n - 1 and value % n:
                 continue  # nothing to record
-            labels = labels or type_labels(factorization)
-            if value % 2 == 0 or value < 2 * n - 1:
-                rule = ("even order-sum" if value % 2 == 0
-                        else "order-sum below 2n-1")
-                raise SoundnessError(
-                    f"{rule} recorded: {[(n, labels[i], value)]}")
-            out.divisible_hits.append(
-                DivisibleRecord(n, labels[i], value, value // n))
-        if len(values) > 1 and len(set(values)) < len(values):
-            labels = labels or type_labels(factorization)
-            by_value: dict[int, list[str]] = {}
-            for label, value in zip(labels, values):
-                by_value.setdefault(value, []).append(label)
-            for value, group in by_value.items():
-                for a, b in combinations(group, 2):
-                    out.collisions.append(CollisionRecord(n, a, b, value))
+            values, repeats = [value], False
+        else:
+            folded = patterns.get(pattern)
+            if folded is None:
+                base = type_psis(pattern)
+                folded = patterns[pattern] = (base, len(set(base)) < len(base))
+            values = [value * v for v in folded[0]]
+            repeats = folded[1]
+            types += len(values)
+            if not repeats and all(v % 2 and v >= 2 * n - 1 and v % n
+                                   for v in values):
+                continue
+        _keep_records(n, values, repeats, out)
+    out.types_scanned = types
     return out
+
+
+def _keep_records(n: int, values: list[int], repeats: bool,
+                  out: SweepOutcome) -> None:
+    # Adds to `out` the records of order n, whose types have `values`, one
+    # of which may keep a record or break a proved fact; `repeats` says
+    # whether two of them are equal.
+    labels = type_labels(factorize(n))
+    for label, value in zip(labels, values):
+        if value % 2 and value >= 2 * n - 1 and (n < 2 or value % n):
+            continue
+        if value % 2 == 0 or value < 2 * n - 1:
+            rule = ("even order-sum" if value % 2 == 0
+                    else "order-sum below 2n-1")
+            raise SoundnessError(f"{rule} recorded: {[(n, label, value)]}")
+        out.divisible_hits.append(DivisibleRecord(n, label, value, value // n))
+    if repeats:
+        by_value: dict[int, list[str]] = {}
+        for label, value in zip(labels, values):
+            by_value.setdefault(value, []).append(label)
+        for value, group in by_value.items():
+            for a, b in combinations(group, 2):
+                out.collisions.append(CollisionRecord(n, a, b, value))
 
 
 def _iter_block_outcomes(start: int, stop: int, workers: int, block_size: int):

@@ -33,8 +33,11 @@ value per prime.  type_psis and type_labels are the one type table of an
 order: the psi values and the spec texts of its types, both in
 iter_type_components order.  type_psis folds the per-prime value lists
 together with one multiplication per type; type_labels formats each
-(p, shape) term once and joins the terms of each type.  The range sweep,
-the `list` command and the image probe all read their types from them.
+(p, shape) term once and joins the terms of each type.  The `list`
+command and the image probe read their types from them.  The range sweep
+sieves the value of each prime of exponent 1 through prime_psis, folds
+only an order's powerful part (its primes of exponent 2 or more) through
+type_psis, and takes type_labels only for an order that keeps a record.
 
 The closed forms of Corollary 2 (cyclic, elementary abelian, near
 elementary, rank 2, rank 3) are each written once, as a function over any
@@ -69,6 +72,7 @@ __all__ = [
     "parse_decimal",
     "parse_group_spec",
     "parse_shape",
+    "prime_psis",
     "psi_abelian",
     "psi_chain",
     "psi_cyclic",
@@ -165,8 +169,8 @@ def band_schedule(
 def _psi_prime_power(p: int, parts: tuple[int, ...]) -> int:
     """psi for the p-group with ascending part tuple `parts`.
 
-    Every per-prime value of psi_p, psi_abelian and type_psis comes
-    through this module-global name.  Z_p is answered directly,
+    Every per-prime value of psi_p, psi_abelian, prime_psis and type_psis
+    comes through this module-global name.  Z_p is answered directly,
     p^2 - p + 1, so only shapes of order p^2 or more reach the cached band
     sum; a sweep up to `stop` meets those only for p <= isqrt(stop), which
     bounds the cache by the primes up to the square root of the range.
@@ -456,6 +460,15 @@ def iter_type_components(factorization):
     """
     return product(*[[(p, parts) for parts in _shapes_of(e)]
                      for p, e in factorization])
+
+
+def prime_psis(primes) -> list[int]:
+    """psi(Z_p) of every prime p in `primes`, in order.
+
+    Each value comes through _psi_prime_power, so a range sweep takes its
+    exponent-1 values from the same place as every other per-prime value.
+    """
+    return [_psi_prime_power(p, (1,)) for p in primes]
 
 
 def type_psis(factorization) -> list[int]:

@@ -5,6 +5,7 @@ import sys
 import tracemalloc
 from itertools import combinations
 from math import isqrt, prod
+from pathlib import Path
 
 import pytest
 
@@ -109,20 +110,8 @@ def test_scan_orders_workers_equivalence():
     assert serial.divisible_hits == parallel.divisible_hits
 
 
-@pytest.mark.parametrize("start, stop", [
-    (1, 50),  # n = 1 has the empty factorization: the trivial type
-    (1009 ** 2 - 999, 1009 ** 2),  # stop = 1009^2: the prime isqrt(stop) is sieved
-    (1009 ** 2, 1009 ** 2 + 999),
-    (10 ** 7 + 1, 10 ** 7 + 1000),
-])
-def test_factor_block_matches_factorize(start, stop):
-    from ordersum.analysis import _factor_block
-    expected = [factorize(n) if n > 1 else [] for n in range(start, stop + 1)]
-    assert _factor_block(start, stop) == expected
-
-
 def test_scan_orders_memory_does_not_grow_with_stop():
-    # Each block factors its own orders, so sweep memory is per block and
+    # Each block sieves its own orders, so sweep memory is per block and
     # does not grow with stop.
     start, stop = 10 ** 7, 10 ** 7 + 999
     tracemalloc.start()
@@ -168,10 +157,10 @@ def test_sieving_primes_are_shared_up_to_a_power_of_two(monkeypatch):
         assert analysis._primes_up_to(limit) == tuple(
             p for p in range(2, limit + 1) if spf[p] == p), limit
     assert sieved == [2 ** k for k in range(1, 13)]
-    # Blocks on both sides of 1024^2 factor correctly with their slices.
-    expected = [factorize(n) for n in range(1024 ** 2 - 1500, 1024 ** 2 + 1501)]
-    assert analysis._factor_block(1024 ** 2 - 1500, 1024 ** 2) \
-        + analysis._factor_block(1024 ** 2 + 1, 1024 ** 2 + 1500) == expected
+    # Blocks on both sides of 1024^2 scan correctly with their slices.
+    for bounds in ((1024 ** 2 - 1500, 1024 ** 2),
+                   (1024 ** 2 + 1, 1024 ** 2 + 1500)):
+        assert analysis._scan_range(bounds) == _definition_outcome(*bounds)
 
 
 def _definition_outcome(start, stop):
@@ -182,22 +171,27 @@ def _definition_outcome(start, stop):
         out.types_scanned += len(types)
         for t in types:
             value = psi_abelian(t)
-            if value % n == 0:
+            if n > 1 and value % n == 0:
                 out.divisible_hits.append(
                     DivisibleRecord(n, format_group_spec(t), value, value // n))
     return out
 
 
 @pytest.mark.parametrize("start, stop", [
+    (1, 50),  # n = 1 has the empty factorization: the trivial type
     (2, 4000),  # holds the smallest divisibility hits, 3887 among them
     (1009 ** 2 - 200, 1009 ** 2 + 200),
+    (1009 ** 2 - 999, 1009 ** 2),  # stop = 1009^2: the prime isqrt(stop) is sieved
+    (1009 ** 2, 1009 ** 2 + 999),
     (10 ** 7 + 1, 10 ** 7 + 300),
+    (10 ** 7 + 1, 10 ** 7 + 1000),
     (10 ** 8 - 300, 10 ** 8),
 ])
 def test_scan_kernel_matches_definition_route(start, stop):
-    # The kernel multiplies per-prime value lists; the definition route
-    # builds every type and takes psi_abelian of it.  Correct formulas give
-    # no collisions and raise no SoundnessError.
+    # The kernel sieves each order's value from per-prime values; the
+    # definition route factors each order, builds every type and takes
+    # psi_abelian of it.  Correct formulas give no collisions and raise
+    # no SoundnessError.
     assert analysis._scan_range((start, stop)) == _definition_outcome(start, stop)
 
 
@@ -659,6 +653,31 @@ def test_divisibility_search():
     assert hits == [DivisibleRecord(3887, "13^[1,1]*23", 1107795, 285)]
     with pytest.raises(ValueError):
         divisibility_search(1)
+
+
+# Every divisibility hit of order up to 2 * 10**6, computed by the
+# benchmark's own arithmetic (bench/refmath.py), which shares no code with
+# the package.
+REFERENCE_HITS = (Path(__file__).resolve().parents[1] / "bench"
+                  / "reference_hits.json")
+
+
+@pytest.mark.parametrize("start, stop", [
+    (2, 2 * 10 ** 5),
+    # 3000-order windows around three hits of the benchmark's windows
+    (1107795 - 1500, 1107795 + 1499),
+    (1550913 - 1500, 1550913 + 1499),
+    (1854699 - 1500, 1854699 + 1499),
+])
+def test_divisible_hits_match_the_independent_reference(start, stop):
+    reference = json.loads(REFERENCE_HITS.read_text(encoding="utf-8"))
+    assert reference["first_order"] <= start and stop <= reference["last_order"]
+    expected = [[order, group, quotient]
+                for order, group, quotient in reference["hits"]
+                if start <= order <= stop]
+    assert expected
+    assert [[h.order, h.group, str(h.quotient)]
+            for h in scan_orders(start, stop).divisible_hits] == expected
 
 
 def test_divisible_hit_orders_are_odd_at_desk_scale():

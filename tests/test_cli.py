@@ -742,6 +742,45 @@ def test_every_sweep_exits_3_on_an_even_order_sum(capsys, monkeypatch, kind,
                    "[(49, '7^[1,1]', 338)]\n")
 
 
+# Where the sweep kernel takes a value from: a prime of exponent 1 that
+# the block sieves (7 <= isqrt of every block's stop), a prime cofactor
+# above isqrt(stop) (1009 lies in the second block, whose stop is below
+# 1009^2), and a powerful part whose values are folded once for the
+# orders of a block that share it (2^3 at 8, 24, 40, ...).
+SEAMS = {
+    "sieved prime": ((7, (1,), 44), "[(7, '7', 44)]"),
+    "cofactor": ((1009, (1,), 1017074), "[(1009, '1009', 1017074)]"),
+    "powerful part": ((2, (1, 2), 24), "[(8, '2^[1,2]', 24)]"),
+}
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("kind", ["conjecture", "divisibility", "image"])
+@pytest.mark.parametrize("seam", sorted(SEAMS))
+def test_a_forged_value_fires_at_every_seam_of_the_kernel(
+        capsys, monkeypatch, seam, kind, workers):
+    # Three blocks of orders, so two workers both scan.
+    forged, shown = SEAMS[seam]
+    forge_psi(monkeypatch, *forged)
+    code, out, err = run(capsys, "sweep", kind, "--to", "3000",
+                         "--workers", workers)
+    assert (code, out) == (3, "")
+    assert err == f"internal error: even order-sum recorded: {shown}\n"
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_a_forge_after_a_clean_sweep_still_fires(capsys, monkeypatch, workers):
+    # Nothing the kernel folds outlives the sweep that folded it.
+    argv = ["sweep", "divisibility", "--to", "3000", "--workers", workers]
+    assert run(capsys, *argv)[0] == 0
+    for forged, shown in SEAMS.values():
+        with monkeypatch.context() as patch:
+            forge_psi(patch, *forged)
+            assert run(capsys, *argv) == (
+                3, "", f"internal error: even order-sum recorded: {shown}\n")
+        assert run(capsys, *argv)[0] == 0
+
+
 @pytest.mark.parametrize("kind", ["conjecture", "divisibility", "image"])
 def test_a_five_above_order_3_exits_3(capsys, monkeypatch, kind):
     forge_psi(monkeypatch, 5, (1,), 5)

@@ -26,8 +26,9 @@ import tempfile
 from pathlib import Path
 
 # Every subcommand and every sweep kind: text and --json, a checkpoint run
-# and its resume, --workers 2, report files, and usage errors.  A file
-# named here lives in the tree's working directory.
+# and its resume, --workers 2, report files, and usage errors, then sweeps
+# at the benchmark's orders, around its hits at 1107795 and 1854699.  A
+# file named here lives in the tree's working directory.
 COMMANDS = [
     ["compute", "2^[1,2]*3"],
     ["compute", "13^[1,1]*23", "--json"],
@@ -64,6 +65,13 @@ COMMANDS = [
     ["sweep", "monotonicity", "--n", "50", "--p", "2", "--json"],
     ["sweep", "image", "--from", "2", "--to", "10"],
     [],
+    ["sweep", "divisibility", "--from", "1105000", "--to", "1110000", "--json"],
+    ["sweep", "divisibility", "--from", "1105000", "--to", "1110000",
+     "--workers", "2", "--json"],
+    ["sweep", "divisibility", "--from", "1850000", "--to", "1852499",
+     "--checkpoint", "window.json"],
+    ["sweep", "divisibility", "--from", "1850000", "--to", "1855000",
+     "--checkpoint", "window.json", "--resume"],
 ]
 _TIMINGS = [(re.compile(rb'"elapsed_ms": [0-9.]+'), b'"elapsed_ms": N'),
             (re.compile(rb"\b[0-9.]+ ms\)"), b"N ms)")]
