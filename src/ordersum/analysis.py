@@ -15,10 +15,12 @@ the library's long-running searches care about:
   * divisibility hits: types whose order-sum is a multiple of the group
     order (rare but real; the smallest has order 3887).
 
-Every order-sum is odd and at least 2*order - 1.  A value that breaks
-either proved fact means the formulas are broken, not that something was
-found, so the scan kernel raises SoundnessError at the first such value,
-in every sweep and under python -O alike.
+Every order-sum is odd and at least 2*order - 1, and orders 1..3 give
+exactly 1, 3 and 7.  A value that breaks a proved fact means the formulas
+are broken, not that something was found, so it raises SoundnessError, in
+every sweep and under python -O alike: the scan kernel at the first even
+value or value below 2*order - 1, image_probe after its scan at a value
+other than 1, 3 and 7 at orders 1..3.
 
 The scan kernel (_scan_range) sieves the order-sums, not the
 factorizations.  Dividing each prime p up to the square root out of a
@@ -105,7 +107,8 @@ __all__ = [
 ]
 
 CHECKPOINT_VERSION = 1
-DEFAULT_BLOCK_SIZE = 1000
+# Orders per block: one pool task, one checkpoint write.
+BLOCK_SIZE = 1000
 
 
 class CollisionRecord(FrozenRecord):
@@ -135,8 +138,9 @@ class CheckpointError(RuntimeError):
 class SoundnessError(RuntimeError):
     """A sweep saw an order-sum that a proved fact rules out.
 
-    Every order-sum is odd and at least 2 * order - 1, so a violation means
-    the formulas themselves are broken, not that something was discovered.
+    Every order-sum is odd and at least 2 * order - 1, and orders 1..3 give
+    exactly 1, 3 and 7, so a violation means the formulas themselves are
+    broken, not that something was discovered.
     """
 
 
@@ -500,16 +504,16 @@ def _keep_records(n: int, values: list[int], repeats: bool,
                 out.collisions.append(CollisionRecord(n, a, b, value))
 
 
-def _iter_block_outcomes(start: int, stop: int, workers: int, block_size: int):
+def _iter_block_outcomes(start: int, stop: int, workers: int):
     """Yield (last_order_of_block, SweepOutcome) in ascending block order."""
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     # Blocks are made as they are scanned, so memory does not grow with
     # the number of blocks.
-    starts = range(start, stop + 1, block_size)
+    starts = range(start, stop + 1, BLOCK_SIZE)
 
     def blocks():
-        return ((a, min(a + block_size - 1, stop)) for a in starts)
+        return ((a, min(a + BLOCK_SIZE - 1, stop)) for a in starts)
 
     # A worker beyond one per block would have nothing to scan.
     workers = min(workers, len(starts))
@@ -524,8 +528,7 @@ def _iter_block_outcomes(start: int, stop: int, workers: int, block_size: int):
                 yield b[1], outcome
 
 
-def scan_orders(start: int, stop: int, *, workers: int = 1,
-                block_size: int = DEFAULT_BLOCK_SIZE) -> SweepOutcome:
+def scan_orders(start: int, stop: int, *, workers: int = 1) -> SweepOutcome:
     """Scan a whole order range and return the merged outcome.
 
     The result is a pure function of (start, stop): worker count and block
@@ -534,7 +537,7 @@ def scan_orders(start: int, stop: int, *, workers: int = 1,
     if start < 1:
         raise ValueError(f"start must be >= 1, got {start}")
     total = SweepOutcome()
-    for _, outcome in _iter_block_outcomes(start, stop, workers, block_size):
+    for _, outcome in _iter_block_outcomes(start, stop, workers):
         total.merge(outcome)
     return total
 
@@ -542,8 +545,7 @@ def scan_orders(start: int, stop: int, *, workers: int = 1,
 def conjecture_sweep(start: int, stop: int,
                      checkpoint: SweepCheckpoint | None = None, *,
                      workers: int = 1,
-                     checkpoint_path: str | None = None,
-                     block_size: int = DEFAULT_BLOCK_SIZE) -> SweepCheckpoint:
+                     checkpoint_path: str | None = None) -> SweepCheckpoint:
     """Sweep [start, stop] recording collisions and divisibility hits.
 
     Continues the given checkpoint (or a fresh one) and returns it with
@@ -567,8 +569,7 @@ def conjecture_sweep(start: int, stop: int,
             f"gap between checkpoint (orders <= {checkpoint.max_done} done) "
             f"and requested start {start}")
     effective = checkpoint.max_done + 1
-    for block_end, outcome in _iter_block_outcomes(
-            effective, stop, workers, block_size):
+    for block_end, outcome in _iter_block_outcomes(effective, stop, workers):
         checkpoint.collisions.extend(outcome.collisions)
         checkpoint.divisible_hits.extend(outcome.divisible_hits)
         checkpoint.max_done = block_end
@@ -589,14 +590,11 @@ def divisibility_search(max_order: int, *, workers: int = 1) -> list[DivisibleRe
 class ImageReport(FrozenRecord):
     """What the order-sum image over all orders <= max_order looks like."""
 
-    __slots__ = ("max_order", "types_scanned", "values_up_to_3", "all_odd",
-                 "bound_holds", "five_orders", "conclusive", "explanation")
+    __slots__ = ("max_order", "types_scanned", "values_up_to_3", "conclusive",
+                 "explanation")
     max_order: int
     types_scanned: int
     values_up_to_3: tuple[int, ...]
-    all_odd: bool
-    bound_holds: bool
-    five_orders: tuple[int, ...]
     conclusive: bool
     explanation: str
 
@@ -609,32 +607,32 @@ def image_probe(max_order: int, *, workers: int = 1) -> ImageReport:
     has order-sum at least 2*4 - 1 = 7, so no group of any order attains
     5 (or any other value missing from the scanned range below 7).
 
-    A report exists only if the scan saw no violation: a value that is
-    even or below 2*order - 1 raises SoundnessError, so all_odd and
-    bound_holds are True in every report returned.  Every scanned value
-    at order >= 4 has passed that bound, which is at least 7 there, so a
-    5 can only come from orders 1..3; five_orders holds one entry per
-    type of those orders whose value is 5.
+    A report exists only if the scan saw no value that breaks a proved
+    fact.  The scan raises SoundnessError at a value that is even or below
+    2*order - 1; after it, a value other than 1, 3 and 7 at orders 1..3
+    raises SoundnessError in the same form, naming (order, label, value).
+    Checked after the scan, it leaves the kernel's messages to the values
+    they cover.
     """
     if max_order < 1:
         raise ValueError(f"max_order must be >= 1, got {max_order}")
     outcome = scan_orders(1, max_order, workers=workers)
-    small = [(n, value) for n in range(1, min(3, max_order) + 1)
-             for value in type_psis(factorize(n))]
-    values = sorted({value for _, value in small})
-    five_orders = tuple(n for n, value in small if value == 5)
-    conclusive = max_order >= 5 and not five_orders
+    values = []
+    for n in range(1, min(3, max_order) + 1):
+        factorization = factorize(n)  # squarefree: one type, Z_n
+        (value,) = type_psis(factorization)
+        if value != n * n - n + 1:
+            raise SoundnessError(
+                "order-sum other than 1, 3, 7 at orders 1..3 recorded: "
+                f"{[(n, *type_labels(factorization), value)]}")
+        values.append(value)
+    conclusive = max_order >= 5
     if conclusive:
         explanation = (
             f"conclusive: orders 1..3 realize exactly {values}, every scanned "
             f"value up to order {max_order} is odd and >= 2*order-1, and any "
             "group of order >= 4 has order-sum >= 7, so the value 5 is never "
             "attained by any finite abelian group")
-    elif five_orders:
-        explanation = (
-            f"value 5 attained at orders {list(five_orders)}; this "
-            "contradicts the definition, by which orders 1..3 have exactly "
-            "the values 1, 3 and 7, so treat it as a defect")
     else:
         explanation = (
             f"inconclusive: scanned only up to order {max_order}; rerun with "
@@ -643,9 +641,6 @@ def image_probe(max_order: int, *, workers: int = 1) -> ImageReport:
         max_order=max_order,
         types_scanned=outcome.types_scanned,
         values_up_to_3=tuple(values),
-        all_odd=True,
-        bound_holds=True,
-        five_orders=five_orders,
         conclusive=conclusive,
         explanation=explanation,
     )

@@ -61,15 +61,17 @@ def _check_moduli(moduli) -> tuple[int, ...]:
     return ms
 
 
-def _check_element(moduli: tuple[int, ...], element) -> tuple[int, ...]:
+def _check_element(moduli, element, what: str) -> tuple[int, ...]:
+    # `what` names the element in the error: "element", "generator 1", ...
     e = tuple(element)
     if len(e) != len(moduli):
         raise ValueError(
-            f"element has {len(e)} components, group has {len(moduli)}")
+            f"{what}: has {len(e)} component(s), "
+            f"the group has {len(moduli)} cyclic factor(s)")
     for i, (r, m) in enumerate(zip(e, moduli)):
         if isinstance(r, bool) or not isinstance(r, int) or not 0 <= r < m:
             raise ValueError(
-                f"component {i}: residue {r!r} not in [0, {m})")
+                f"{what}, component {i}: residue {r!r} not in [0, {m})")
     return e
 
 
@@ -85,7 +87,7 @@ def element_order(moduli, element) -> int:
     direct product is the lcm over components.
     """
     ms = _check_moduli(moduli)
-    e = _check_element(ms, element)
+    e = _check_element(ms, element, "element")
     return lcm(*(m // gcd(m, r) for m, r in zip(ms, e)))
 
 
@@ -121,11 +123,14 @@ def subgroup_closure(moduli, generators, *,
     """Subgroup generated by the given elements, as a frozenset of tuples.
 
     Breadth-first closure under adding each generator; no generators give
-    the trivial subgroup.  Raises EnumerationCapError if the closure would
-    exceed max_enum elements.
+    the trivial subgroup.  A generator that does not fit the group raises
+    ValueError naming it by its 1-based index ("generator 2: ...").
+    Raises EnumerationCapError if the closure would exceed max_enum
+    elements.
     """
     ms = _check_moduli(moduli)
-    gens = [_check_element(ms, g) for g in generators]
+    gens = [_check_element(ms, g, f"generator {i}")
+            for i, g in enumerate(generators, 1)]
     identity = (0,) * len(ms)
     seen = {identity}
     frontier = [identity]
@@ -156,7 +161,7 @@ def relative_order(moduli, subgroup, element) -> int:
     counted with and without multiplicity.
     """
     ms = _check_moduli(moduli)
-    e = _check_element(ms, element)
+    e = _check_element(ms, element, "element")
     identity = (0,) * len(ms)
     if identity not in subgroup:
         raise ValueError("subgroup does not contain the identity")

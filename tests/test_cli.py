@@ -790,18 +790,21 @@ def test_a_five_above_order_3_exits_3(capsys, monkeypatch, kind):
                    "[(5, '5', 5)]\n")
 
 
-def test_sweep_image_reports_a_five_at_order_3(capsys, monkeypatch):
-    forge_psi(monkeypatch, 3, (1,), 5)
-    code, record, _ = run_json(capsys, "sweep", "image", "--to", "100")
-    assert code == 1
-    assert record["anomaly"] is True
-    assert record["five_orders"] == [3]
-    assert record["values_up_to_3"] == ["1", "3", "5"]
-    assert record["conclusive"] is False
-    assert record["explanation"] == (
-        "value 5 attained at orders [3]; this contradicts the definition, by "
-        "which orders 1..3 have exactly the values 1, 3 and 7, so treat it "
-        "as a defect")
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("order", [2, 3])
+def test_a_five_at_order_2_or_3_exits_3(capsys, monkeypatch, order, workers):
+    # A 5 at order 2 or 3 is odd and >= 2n - 1, so the kernel passes it;
+    # image_probe's check of orders 1..3 after the scan raises.  Blocks of
+    # 50 orders, so two workers both scan.
+    forge_psi(monkeypatch, order, (1,), 5)
+    monkeypatch.setattr(analysis, "BLOCK_SIZE", 50)
+    shown = ("order-sum other than 1, 3, 7 at orders 1..3 recorded: "
+             f"[({order}, '{order}', 5)]")
+    with pytest.raises(analysis.SoundnessError) as info:
+        analysis.image_probe(100, workers=int(workers))
+    assert str(info.value) == shown
+    assert run(capsys, "sweep", "image", "--to", "100", "--workers",
+               workers) == (3, "", f"internal error: {shown}\n")
 
 
 def test_relative_checks_the_cap_before_the_closure(capsys, monkeypatch):
@@ -819,6 +822,8 @@ def test_relative_checks_the_cap_before_the_closure(capsys, monkeypatch):
     assert (code, out) == (2, "")
     assert err == ("error: enumeration of 2097152 elements exceeds the cap of "
                    "1048576; raise the cap explicitly to force it\n")
+    # The cap comes first even when a generator does not fit the group.
+    assert run(capsys, "relative", "2^[21]", "--gen", "1,1") == (2, "", err)
     assert called == []
 
 

@@ -187,6 +187,18 @@ def test_subgroup_closure_examples():
     assert len(whole) == 4
 
 
+def test_subgroup_closure_names_the_generator():
+    # The 1-based index, as the command line's --gen flags count them.
+    with pytest.raises(ValueError) as info:
+        subgroup_closure((4, 6), [(1, 2), (1,)])
+    assert str(info.value) == (
+        "generator 2: has 1 component(s), the group has 2 cyclic factor(s)")
+    with pytest.raises(ValueError) as info:
+        subgroup_closure((4, 6), [(1, 2), (3, 0), (1, 6)])
+    assert str(info.value) == (
+        "generator 3, component 1: residue 6 not in [0, 6)")
+
+
 def test_subgroup_closure_is_closed():
     h = subgroup_closure((4, 6), [(2, 3), (0, 2)])
     assert (0, 0) in h

@@ -37,8 +37,8 @@ FIELDS = {
     AbelianGroupType: ("components",),
     CollisionRecord: ("order", "group_a", "group_b", "psi"),
     DivisibleRecord: ("order", "group", "psi", "quotient"),
-    ImageReport: ("max_order", "types_scanned", "values_up_to_3", "all_odd",
-                  "bound_holds", "five_orders", "conclusive", "explanation"),
+    ImageReport: ("max_order", "types_scanned", "values_up_to_3", "conclusive",
+                  "explanation"),
     MonotonicityReport: ("n", "p", "types", "violations",
                          "first_matches_flat_formula",
                          "last_matches_cyclic_formula"),

@@ -47,6 +47,8 @@ COMMANDS = [
     ["relative", "1", "--max-enum", "0"],
     ["relative", "1", "--gen", "0"],
     ["relative", "2^[2]", "--gen", "5"],
+    ["relative", "2^[1,2]", "--gen", "1"],
+    ["relative", "3^[1,1]", "--gen", "1,1", "--gen", "2"],
     ["sweep", "conjecture", "--to", "2000"],
     ["sweep", "conjecture", "--to", "2000", "--workers", "2", "--json"],
     ["sweep", "divisibility", "--to", "4000", "--json"],
@@ -57,6 +59,8 @@ COMMANDS = [
     ["sweep", "image", "--to", "3000"],
     ["sweep", "image", "--to", "3000", "--workers", "2", "--json"],
     ["sweep", "image", "--to", "50", "--checkpoint", "image.json"],
+    ["sweep", "image", "--to", "4"],
+    ["sweep", "image", "--to", "1", "--json"],
     ["sweep", "monotonicity", "--n", "12", "--p", "3"],
     ["sweep", "monotonicity", "--n", "12", "--p", "3", "--json",
      "--checkpoint", "chain.json"],
