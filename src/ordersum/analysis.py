@@ -464,44 +464,40 @@ def _scan_range(bounds: tuple[int, int]) -> SweepOutcome:
             types += 1
             if value % 2 and value >= 2 * n - 1 and value % n:
                 continue  # nothing to record
-            values, repeats = [value], False
+            values = [value]
         else:
             folded = patterns.get(pattern)
             if folded is None:
                 base = type_psis(pattern)
                 folded = patterns[pattern] = (base, len(set(base)) < len(base))
             values = [value * v for v in folded[0]]
-            repeats = folded[1]
             types += len(values)
-            if not repeats and all(v % 2 and v >= 2 * n - 1 and v % n
-                                   for v in values):
+            if not folded[1] and all(v % 2 and v >= 2 * n - 1 and v % n
+                                     for v in values):
                 continue
-        _keep_records(n, values, repeats, out)
+        _keep_records(n, values, out)
     out.types_scanned = types
     return out
 
 
-def _keep_records(n: int, values: list[int], repeats: bool,
-                  out: SweepOutcome) -> None:
-    # Adds to `out` the records of order n, whose types have `values`, one
-    # of which may keep a record or break a proved fact; `repeats` says
-    # whether two of them are equal.
-    labels = type_labels(factorize(n))
-    for label, value in zip(labels, values):
-        if value % 2 and value >= 2 * n - 1 and (n < 2 or value % n):
-            continue
+def _keep_records(n: int, values: list[int], out: SweepOutcome) -> None:
+    # Adds to `out` the records of order n, whose types have `values` in
+    # type_labels order, in one pass: the first value that is even or below
+    # 2n - 1 raises SoundnessError, a value n > 1 divides is a divisibility
+    # hit, and types that share a value are grouped for the collisions.
+    by_value: dict[int, list[str]] = {}
+    for label, value in zip(type_labels(factorize(n)), values):
         if value % 2 == 0 or value < 2 * n - 1:
             rule = ("even order-sum" if value % 2 == 0
                     else "order-sum below 2n-1")
             raise SoundnessError(f"{rule} recorded: {[(n, label, value)]}")
-        out.divisible_hits.append(DivisibleRecord(n, label, value, value // n))
-    if repeats:
-        by_value: dict[int, list[str]] = {}
-        for label, value in zip(labels, values):
-            by_value.setdefault(value, []).append(label)
-        for value, group in by_value.items():
-            for a, b in combinations(group, 2):
-                out.collisions.append(CollisionRecord(n, a, b, value))
+        if n > 1 and value % n == 0:
+            out.divisible_hits.append(
+                DivisibleRecord(n, label, value, value // n))
+        by_value.setdefault(value, []).append(label)
+    for value, group in by_value.items():
+        for a, b in combinations(group, 2):
+            out.collisions.append(CollisionRecord(n, a, b, value))
 
 
 def _iter_block_outcomes(start: int, stop: int, workers: int):

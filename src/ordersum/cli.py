@@ -266,10 +266,7 @@ def _sweep_counting(args) -> int:
     elapsed = _elapsed_ms(t0)
     saved = checkpoint.to_json_obj()
     collisions, hits = saved["collisions"], saved["divisible_hits"]
-    if kind == "conjecture":
-        anomaly = bool(collisions)
-    else:
-        anomaly = bool(hits) or bool(collisions)
+    anomaly = bool(collisions) or (kind == "divisibility" and bool(hits))
     record = {
         "command": "sweep",
         "kind": kind,

@@ -53,11 +53,15 @@ class EnumerationCapError(ValueError):
         self.cap = cap
 
 
-def _check_moduli(moduli) -> tuple[int, ...]:
+def _check_moduli(moduli, max_enum: int | None = None) -> tuple[int, ...]:
+    # With max_enum set, a group of more than max_enum elements raises
+    # EnumerationCapError: the one cap on the group order.
     ms = tuple(moduli)
     for i, m in enumerate(ms):
         if not isinstance(m, int) or m < 2:
             raise ValueError(f"component {i}: modulus must be >= 2, got {m!r}")
+    if max_enum is not None and prod(ms) > max_enum:
+        raise EnumerationCapError(prod(ms), max_enum)
     return ms
 
 
@@ -102,10 +106,7 @@ def psi_bruteforce(moduli, *, max_enum: int = DEFAULT_ENUM_CAP) -> int:
     of distinct orders, not one lcm per element.  The cap still applies
     to the group order, the number of elements counted.
     """
-    ms = _check_moduli(moduli)
-    size = prod(ms)
-    if size > max_enum:
-        raise EnumerationCapError(size, max_enum)
+    ms = _check_moduli(moduli, max_enum)
     counts = {1: 1}
     for m in ms:
         # residue r lands on gcd(m, r); its order is m // gcd(m, r)
@@ -196,10 +197,7 @@ def psi_relative(moduli, subgroup, *, max_enum: int = DEFAULT_ENUM_CAP) -> int:
     applies to the group order.  With the trivial subgroup this equals
     psi_bruteforce; with the whole group it equals the group order.
     """
-    ms = _check_moduli(moduli)
-    size = prod(ms)
-    if size > max_enum:
-        raise EnumerationCapError(size, max_enum)
+    ms = _check_moduli(moduli, max_enum)
     identity = (0,) * len(ms)
     if identity not in subgroup:
         raise ValueError("subgroup does not contain the identity")

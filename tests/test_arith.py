@@ -119,3 +119,26 @@ def test_smallest_prime_factors_rejects_bad_limit():
 @pytest.mark.parametrize("n", [2.0, 3.0, 7.0, 7.5, True, False, "7", None])
 def test_is_prime_is_false_off_the_ints(n):
     assert is_prime(n) is False
+
+
+def test_is_prime_matches_the_sieve_up_to_1e5():
+    spf = smallest_prime_factors(10**5)
+    assert not is_prime(0) and not is_prime(1)
+    for n in range(2, 10**5 + 1):
+        assert is_prime(n) == (spf[n] == n), n
+
+
+# 1000039 is 1 and 1000037 is 5 modulo 6, so the walk resumes from each
+# side of a 6k +- 1 pair; 1000033 lies five pairs past 1000003.
+@pytest.mark.parametrize("factors", [
+    [(1000039, 2)],
+    [(1000039, 3)],
+    [(1000037, 2)],
+    [(1000037, 3)],
+    [(1000037, 1), (1000039, 1)],
+    [(1000003, 1), (1000033, 1)],
+    [(2, 5), (3, 4), (1000037, 2)],
+    [(2, 1), (3, 1), (1000039, 1)],
+])
+def test_factorize_resumes_the_walk_past_each_factor(factors):
+    assert factorize(prod_of(factors)) == factors

@@ -26,7 +26,8 @@ import tempfile
 from pathlib import Path
 
 # Every subcommand and every sweep kind: text and --json, a checkpoint run
-# and its resume, --workers 2, report files, and usage errors, then sweeps
+# and its resume, --workers 2, report files, usage errors, enumeration caps
+# and orders with prime factors past 10**6 for trial division, then sweeps
 # at the benchmark's orders, around its hits at 1107795 and 1854699.  A
 # file named here lives in the tree's working directory.
 COMMANDS = [
@@ -36,8 +37,12 @@ COMMANDS = [
     ["compute", "1", "--verify"],
     ["compute", "1", "--verify", "--max-enum", "0"],
     ["compute", "2^[2,1]"],
+    ["compute", "1000003^[1,2]*1000033"],
+    ["compute", "2^[21]", "--verify"],
     ["list", "3600"],
     ["list", "3600", "--json"],
+    ["list", "1000006000009"],
+    ["list", "2297770475"],
     ["poly", "[1,2]"],
     ["poly", "[1,2,2,3]", "--json"],
     ["poly", "[2,1]"],
@@ -49,6 +54,7 @@ COMMANDS = [
     ["relative", "2^[2]", "--gen", "5"],
     ["relative", "2^[1,2]", "--gen", "1"],
     ["relative", "3^[1,1]", "--gen", "1,1", "--gen", "2"],
+    ["relative", "2^[10]", "--gen", "1", "--max-enum", "100"],
     ["sweep", "conjecture", "--to", "2000"],
     ["sweep", "conjecture", "--to", "2000", "--workers", "2", "--json"],
     ["sweep", "divisibility", "--to", "4000", "--json"],
