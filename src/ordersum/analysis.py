@@ -44,10 +44,15 @@ so a resumed sweep continues exactly where the file says and the final
 state is byte-identical to an uninterrupted run.  The range is split into
 fixed blocks, and each block sieves its own orders over the primes up to
 the square root of its last order, so memory is per block and does not
-grow with the range.  Worker parallelism hands blocks to forked
-processes; a task is just the block's two bounds, so workers inherit no
-shared state.  Results are merged in block order, so worker count never
-changes any output.
+grow with the range.  With k > 1 workers the sweep forks k lanes, each
+a process and a pipe that only it writes: lane j scans blocks j, j + k,
+j + 2k, ... and sends each outcome, or its exception as a value, and the
+parent reads block i from pipe i % k, so results come back in block order
+and worker count never changes any output.  No lock, queue or thread is
+shared.  A pipe that ends before its block raises WorkerError, naming the
+block and the worker's exit code (-N for signal N); the blocks before it
+are already in the checkpoint.  One worker scans in process and forks
+nothing.
 
 One codec reads and writes every object in a checkpoint.  A found record
 is written as {field: value} over its __slots__, with its order-sums as
@@ -66,9 +71,9 @@ import os
 import sys
 from bisect import bisect_right
 from collections.abc import Iterable
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, islice
 from json.encoder import encode_basestring_ascii as _json_string
 from math import isqrt
 
@@ -95,6 +100,7 @@ __all__ = [
     "SoundnessError",
     "SweepCheckpoint",
     "SweepOutcome",
+    "WorkerError",
     "conjecture_sweep",
     "divisibility_search",
     "image_probe",
@@ -107,7 +113,7 @@ __all__ = [
 ]
 
 CHECKPOINT_VERSION = 1
-# Orders per block: one pool task, one checkpoint write.
+# Orders per block: one worker's unit of work, one checkpoint write.
 BLOCK_SIZE = 1000
 
 
@@ -133,6 +139,16 @@ class DivisibleRecord(FrozenRecord):
 
 class CheckpointError(RuntimeError):
     """Checkpoint file is missing, malformed, or inconsistent with the run."""
+
+
+class WorkerError(RuntimeError):
+    """A sweep worker died before it sent the outcome of its block.
+
+    The message names the block's orders and the worker's exit code, -N
+    where signal N killed it (-9: SIGKILL, as the kernel's out-of-memory
+    killer sends).  Every block before it has been yielded, so a
+    checkpointed sweep resumes from the block the worker died on.
+    """
 
 
 class SoundnessError(RuntimeError):
@@ -417,7 +433,7 @@ def _primes_up_to(limit: int) -> tuple[int, ...]:
 def _scan_range(bounds: tuple[int, int]) -> SweepOutcome:
     """Scan every order in [start, stop] for collisions and divisibility hits.
 
-    A pure function of its bounds, so it is also the pool task.  The sieve
+    A pure function of its bounds, so it is also a worker's task.  The sieve
     the module docstring describes leaves each order's residue, common
     factor and powerful part.  type_psis of a powerful part is taken once
     per pattern of the block, and nothing folded here outlives the call,
@@ -430,7 +446,7 @@ def _scan_range(bounds: tuple[int, int]) -> SweepOutcome:
     fact.  The first value that is even or below 2n - 1, in (order, type
     index) order, raises SoundnessError naming (n, label, value); a raise,
     not an assert, so the check also runs under python -O, and in a worker
-    it reaches the parent through the pool.
+    it reaches the parent through the worker's pipe.
     """
     start, stop = bounds
     size = stop - start + 1
@@ -500,8 +516,31 @@ def _keep_records(n: int, values: list[int], out: SweepOutcome) -> None:
             out.collisions.append(CollisionRecord(n, a, b, value))
 
 
+def _lane(blocks, readers, writer) -> None:
+    # One forked worker: scans its blocks in order and sends each outcome,
+    # or the exception that stops it, down the pipe only it writes.  It
+    # first closes the read ends it inherited, its own among them, so that
+    # once the parent is gone a send fails instead of blocking for good.
+    for reader in readers:
+        reader.close()
+    with suppress(BrokenPipeError):  # the parent is gone: nothing to do
+        try:
+            for bounds in blocks:
+                writer.send(_scan_range(bounds))
+        except Exception as exc:
+            writer.send(exc)
+
+
 def _iter_block_outcomes(start: int, stop: int, workers: int):
-    """Yield (last_order_of_block, SweepOutcome) in ascending block order."""
+    """Yield (last_order_of_block, SweepOutcome) in ascending block order.
+
+    With k > 1 workers, lane j (a forked process and the pipe only it
+    writes) scans blocks j, j + k, j + 2k, ..., so block i is read from
+    pipe i % k.  A block's exception is raised here as the worker sent
+    it.  A pipe that ends before its block raises WorkerError, naming
+    the block and the worker's exit code, -N for a kill by signal N.
+    However the generator ends, every lane is killed, joined and closed.
+    """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     # Blocks are made as they are scanned, so memory does not grow with
@@ -514,14 +553,36 @@ def _iter_block_outcomes(start: int, stop: int, workers: int):
     # A worker beyond one per block would have nothing to scan.
     workers = min(workers, len(starts))
     if workers <= 1:
-        for b in blocks():
-            yield b[1], _scan_range(b)
-    else:
-        from multiprocessing import get_context
-        ctx = get_context("fork")
-        with ctx.Pool(workers) as pool:
-            for b, outcome in zip(blocks(), pool.imap(_scan_range, blocks())):
-                yield b[1], outcome
+        yield from ((b[1], _scan_range(b)) for b in blocks())
+        return
+    from multiprocessing import get_context
+    ctx = get_context("fork")
+    readers, processes = [], []
+    try:
+        for first in range(workers):
+            reader, writer = ctx.Pipe(duplex=False)
+            readers.append(reader)
+            process = ctx.Process(target=_lane, daemon=True, args=(
+                islice(blocks(), first, None, workers), readers, writer))
+            process.start()
+            processes.append(process)
+            writer.close()
+        for i, b in enumerate(blocks()):
+            try:
+                outcome = readers[i % workers].recv()
+            except EOFError:
+                died = processes[i % workers]
+                died.join()
+                raise WorkerError(f"worker died on orders {b[0]}..{b[1]} "
+                                  f"(exit code {died.exitcode})") from None
+            if isinstance(outcome, Exception):
+                raise outcome
+            yield b[1], outcome
+    finally:
+        for process, reader in zip(processes, readers):
+            process.kill()
+            process.join()
+            reader.close()
 
 
 def scan_orders(start: int, stop: int, *, workers: int = 1) -> SweepOutcome:

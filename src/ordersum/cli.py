@@ -29,10 +29,13 @@ Exit codes: 0 no anomaly, 1 anomaly found (collision, divisibility hit,
 monotonicity violation, verify mismatch), 2 usage or input error (a
 damaged checkpoint, a path that cannot be written, a --gen element that
 does not fit the group), 3 internal error (a soundness check, exact
-division or assertion failed; every sweep kind's scan raises
-SoundnessError at an even order-sum or one below 2*order - 1, and sweep
-image at a value other than 1, 3 and 7 at orders 1..3, so sweep image
-never exits 1).
+division or assertion failed, or a sweep worker died; every sweep kind's
+scan raises SoundnessError at an even order-sum or one below
+2*order - 1, and sweep image at a value other than 1, 3 and 7 at orders
+1..3, so sweep image never exits 1).  A worker that dies stops the sweep
+with "internal error: worker died on orders A..B (exit code -N)", -N for
+a kill by signal N; the checkpoint holds every block before A, so
+--resume continues from there.
 Run as a program (entry), it exits 141 without a traceback when the
 reader of its standard output closes the pipe early (`| head`).
 Large group-theoretic values appear in JSON output as exact decimal
@@ -52,6 +55,7 @@ from .analysis import (
     CheckpointError,
     SoundnessError,
     SweepCheckpoint,
+    WorkerError,
     conjecture_sweep,
     image_probe,
     json_text,
@@ -553,7 +557,8 @@ def main(argv=None) -> int:
             EnumerationCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (SoundnessError, AssertionError, ExactDivisionError) as exc:
+    except (SoundnessError, WorkerError, AssertionError,
+            ExactDivisionError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     finally:

@@ -1,7 +1,9 @@
 """Tests for sweeps, checkpoints, and the chain/image reports."""
 
 import json
+import os
 import sys
+import threading
 import tracemalloc
 from itertools import combinations
 from math import isqrt, prod
@@ -102,10 +104,13 @@ def test_scan_orders_counts_types():
     assert outcome.collisions == []
 
 
-def test_scan_orders_workers_equivalence(monkeypatch):
-    serial = scan_orders(2, 500)
+@pytest.mark.parametrize("workers", [2, 3, 4])
+def test_scan_orders_workers_equivalence(monkeypatch, workers):
+    # Seven blocks, a count none of the worker counts divides, so the
+    # lanes have unequal lengths.
+    serial = scan_orders(2, 650)
     monkeypatch.setattr(analysis, "BLOCK_SIZE", 97)
-    parallel = scan_orders(2, 500, workers=2)
+    parallel = scan_orders(2, 650, workers=workers)
     assert serial.types_scanned == parallel.types_scanned
     assert serial.collisions == parallel.collisions
     assert serial.divisible_hits == parallel.divisible_hits
@@ -756,27 +761,51 @@ def test_soundness_error_keeps_the_blocks_before_it(tmp_path, monkeypatch,
 
 
 def test_pool_size_is_bounded_by_block_count(monkeypatch):
-    # A stand-in multiprocessing context records the pool size asked for
-    # and maps in this process, so the test starts no process at all.
+    # A stand-in multiprocessing context counts the workers each sweep
+    # starts.  Its Process runs the lane in this process when started and
+    # its Pipe is one list, so the test starts no process at all.
     import multiprocessing
 
     requested = []
 
-    class InlinePool:
-        def __init__(self, size):
-            requested.append(size)
+    class InlineConnection:
+        def __init__(self, sent):
+            self.sent = sent
 
-        def __enter__(self):
-            return self
+        def send(self, item):
+            self.sent.append(item)
 
-        def __exit__(self, *exc):
-            return False
+        def recv(self):
+            if not self.sent:
+                raise EOFError
+            return self.sent.pop(0)
 
-        def imap(self, fn, items):
-            return map(fn, items)
+        def close(self):
+            pass  # the lane and this test share one end: nothing to close
+
+    class InlineProcess:
+        def __init__(self, target, args, daemon):
+            requested[-1] += 1
+            self.target, self.args = target, args
+
+        def start(self):
+            self.target(*self.args)
+
+        def kill(self):
+            pass
+
+        def join(self):
+            pass
 
     class InlineContext:
-        Pool = InlinePool
+        Process = InlineProcess
+
+        def __init__(self):
+            requested.append(0)
+
+        def Pipe(self, duplex):
+            sent = []
+            return InlineConnection(sent), InlineConnection(sent)
 
     monkeypatch.setattr(multiprocessing, "get_context",
                         lambda method: InlineContext())
@@ -790,6 +819,24 @@ def test_pool_size_is_bounded_by_block_count(monkeypatch):
     checkpoint = conjecture_sweep(2, 2500, workers=100000)
     assert checkpoint == conjecture_sweep(2, 2500)
     assert requested == [5, 3]
+
+
+def test_worker_lanes_start_no_thread_and_one_worker_forks_nothing(
+        monkeypatch):
+    # The lanes share no queue, lock or helper thread: the sweep only
+    # forks and reads pipes.  One worker scans in this process.
+    assert threading.active_count() == 1
+    outcomes = []
+    for outcome in analysis._iter_block_outcomes(2, 3000, 2):
+        assert threading.active_count() == 1
+        outcomes.append(outcome)
+    assert threading.active_count() == 1
+
+    def no_fork():
+        raise AssertionError("a one-worker sweep forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert list(analysis._iter_block_outcomes(2, 3000, 1)) == outcomes
 
 
 def test_monotonicity_rejects_bool_and_float_input():

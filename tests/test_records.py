@@ -112,8 +112,9 @@ def _ids(classes):
 @pytest.mark.parametrize("cls", VALUES, ids=_ids(VALUES))
 def test_records_survive_pickle_and_deepcopy(cls):
     # Sweep workers send their results back pickled; a record that fails
-    # to unpickle there hangs the pool instead of raising, so this is the
-    # check that fails fast.
+    # to pickle or unpickle there stops the sweep with an error far from
+    # its cause (a WorkerError, or the unpickler's), so this is the check
+    # that names the record.
     record = SAMPLES[cls]
     for clone in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record),
                   copy.copy(record)):

@@ -26,7 +26,8 @@ import tempfile
 from pathlib import Path
 
 # Every subcommand and every sweep kind: text and --json, a checkpoint run
-# and its resume, --workers 2, report files, usage errors, enumeration caps
+# and its resume, --workers 2 and 3 (lanes of unequal length, and a
+# 2-worker resume), report files, usage errors, enumeration caps
 # and orders with prime factors past 10**6 for trial division, then sweeps
 # at the benchmark's orders, around its hits at 1107795 and 1854699.  A
 # file named here lives in the tree's working directory.
@@ -62,6 +63,9 @@ COMMANDS = [
     ["sweep", "divisibility", "--to", "4000", "--checkpoint", "progress.json",
      "--resume"],
     ["sweep", "divisibility", "--to", "4000", "--checkpoint", "progress.json"],
+    ["sweep", "divisibility", "--to", "6000", "--checkpoint", "progress.json",
+     "--resume", "--workers", "2"],
+    ["sweep", "divisibility", "--to", "8000", "--workers", "3", "--json"],
     ["sweep", "image", "--to", "3000"],
     ["sweep", "image", "--to", "3000", "--workers", "2", "--json"],
     ["sweep", "image", "--to", "50", "--checkpoint", "image.json"],
