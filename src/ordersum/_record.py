@@ -5,9 +5,9 @@ is built from positional or keyword field values, compares and hashes by
 field value (never equal to an instance of another class), shows every
 field in its repr, refuses assignment and deletion, and pickles by passing
 its field values back to the constructor, which also lets it cross the
-sweep's process pool.  It does what a frozen dataclass with slots does,
-without importing dataclasses, which costs milliseconds at every start of
-the command line.
+pipes of the sweep's forked worker lanes.  It does what a frozen
+dataclass with slots does, without importing dataclasses, which costs
+milliseconds at every start of the command line.
 
 The constructor runs the subclass's _check hook, so a record built from
 outside values is always valid.  FrozenRecord._unchecked(*values) is the

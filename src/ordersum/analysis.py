@@ -1,4 +1,4 @@
-"""Range sweeps over group orders, with checkpoints and worker pools.
+"""Range sweeps over group orders, with checkpoints and forked worker lanes.
 
 The one engine here (scan_orders) walks every abelian group type of every
 order in a range, computes the order-sum of each, and records everything
@@ -521,9 +521,12 @@ def _lane(blocks, readers, writer) -> None:
     # or the exception that stops it, down the pipe only it writes.  It
     # first closes the read ends it inherited, its own among them, so that
     # once the parent is gone a send fails instead of blocking for good.
+    # A lane stops quietly when its parent is gone, and on Ctrl-C, which
+    # reaches the whole process group: the parent reports the interrupt
+    # and kills the lanes.
     for reader in readers:
         reader.close()
-    with suppress(BrokenPipeError):  # the parent is gone: nothing to do
+    with suppress(BrokenPipeError, KeyboardInterrupt):
         try:
             for bounds in blocks:
                 writer.send(_scan_range(bounds))

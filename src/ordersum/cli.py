@@ -37,7 +37,11 @@ with "internal error: worker died on orders A..B (exit code -N)", -N for
 a kill by signal N; the checkpoint holds every block before A, so
 --resume continues from there.
 Run as a program (entry), it exits 141 without a traceback when the
-reader of its standard output closes the pipe early (`| head`).
+reader of its standard output closes the pipe early (`| head`).  On
+Ctrl-C it prints one line, "interrupted", or for a conjecture or
+divisibility sweep with --checkpoint PATH "interrupted; --resume
+continues from PATH", and ends by SIGINT (a shell shows 130); an
+in-process main() caller gets the KeyboardInterrupt.
 Large group-theoretic values appear in JSON output as exact decimal
 strings so nothing is ever rounded.
 """
@@ -561,6 +565,9 @@ def main(argv=None) -> int:
             ExactDivisionError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    except KeyboardInterrupt:  # raised on, with the note entry() prints
+        path = args.checkpoint if args.handler is _sweep_counting else None
+        raise KeyboardInterrupt(path and f"--resume continues from {path}")
     finally:
         if limit is not None:
             sys.set_int_max_str_digits(limit)
@@ -575,6 +582,13 @@ def entry() -> None:
         # fail again at exit, so it goes to the null device instead.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = EXIT_BROKEN_PIPE
+    except KeyboardInterrupt as exc:
+        # Ctrl-C: one line, not a traceback, then the death by SIGINT an
+        # uncaught interrupt ends in, which a shell shows as 130.
+        import signal
+        print("interrupted", *filter(None, exc.args), sep="; ", file=sys.stderr)
+        signal.signal(signal.SIGINT, signal.SIG_DFL)
+        signal.raise_signal(signal.SIGINT)
     sys.exit(code)
 
 

@@ -13,17 +13,17 @@ length n and comparing those tuples lexicographically:
 
 so for n = 4 the order runs (1,1,1,1) < (1,1,2) < (2,2) < (1,3) < (4,).
 The all-ones partition is always first and the single part (n,) is always
-last.  lex_successor and lex_compare define the order on Partition values,
-one step at a time, and stay as the reference.
+last.  The step-by-step and padded-tuple references of the order, which
+the walk is tested against, live beside the tests, in tests/support.py.
 
 There is one walk of that order, the private generator _walk: it takes
-the lex_successor step in place on one mutable descending list (grow the
-last part that can grow, refill the tail with ones) and yields the list
-with the position it grew, so no padded tuple is built.  It has two
-consumers.  iter_partitions turns each list into a Partition, without
-running the validating constructor on parts the walk made ascending
-integers.  psi_core.psi_chain reads the grown position to update the
-order-sum of each partition from the one before it.
+each step in place on one mutable descending list (grow the last part
+that can grow, refill the tail with ones) and yields the list with the
+position it grew, so no padded tuple is built.  It has two consumers.
+iter_partitions turns each list into a Partition, without running the
+validating constructor on parts the walk made ascending integers.
+psi_core.psi_chain reads the grown position to update the order-sum of
+each partition from the one before it.
 """
 
 from collections.abc import Iterator
@@ -32,12 +32,8 @@ from ._record import FrozenRecord
 
 __all__ = [
     "Partition",
-    "from_padded_tuple",
     "iter_partitions",
-    "lex_compare",
-    "lex_successor",
     "partitions_of",
-    "to_padded_tuple",
 ]
 
 
@@ -79,75 +75,17 @@ class Partition(FrozenRecord):
         return "[" + ",".join(map(str, self.parts)) + "]"
 
 
-def to_padded_tuple(partition: Partition) -> tuple[int, ...]:
-    """Embed a partition of n as its descending tuple zero-padded to length n."""
-    desc = tuple(sorted(partition.parts, reverse=True))
-    return desc + (0,) * (partition.n - len(desc))
-
-
-def from_padded_tuple(padded: tuple[int, ...]) -> Partition:
-    """Inverse of to_padded_tuple: strip zeros, reverse to ascending parts."""
-    parts = [a for a in padded if a != 0]
-    if not parts:
-        raise ValueError("padded tuple has no nonzero parts")
-    if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
-        raise ValueError(f"padded tuple must be descending, got {padded!r}")
-    if sum(parts) != len(padded):
-        raise ValueError(
-            f"padded tuple {padded!r} has length {len(padded)}, expected {sum(parts)}"
-        )
-    return Partition(tuple(reversed(parts)))
-
-
-def lex_compare(a: tuple[int, ...], b: tuple[int, ...]) -> int:
-    """Compare two equal-length padded tuples; returns -1, 0 or 1.
-
-    The first differing position decides.  The comparison is written out
-    position by position rather than relying on builtin tuple ordering, so
-    the order definition is spelled out in one place.
-    """
-    if len(a) != len(b):
-        raise ValueError(
-            f"cannot compare padded tuples of lengths {len(a)} and {len(b)}")
-    for x, y in zip(a, b):
-        if x < y:
-            return -1
-        if x > y:
-            return 1
-    return 0
-
-
-def lex_successor(partition: Partition) -> Partition | None:
-    """Next partition of the same n in the enumeration order, or None at (n,).
-
-    Working on the descending form (a_1 >= a_2 >= ...), find the last
-    position j whose entry can grow: a_j + 1 must not exceed the entry
-    before it, and the suffix from j must have enough mass left to cover
-    the increment.  Increase a_j by one and flatten everything after it
-    into ones.  This is the reference definition of the step; _walk takes
-    the same step in place.
-    """
-    desc = [a for a in to_padded_tuple(partition) if a != 0]
-    for j in range(len(desc) - 1, -1, -1):
-        cap = desc[j - 1] if j > 0 else partition.n
-        suffix = sum(desc[j:])
-        if desc[j] + 1 <= cap and desc[j] + 1 <= suffix:
-            head = desc[:j] + [desc[j] + 1]
-            rest = suffix - desc[j] - 1
-            return Partition(tuple(sorted(head)) if rest == 0
-                             else tuple(sorted(head + [1] * rest)))
-    return None
-
-
 def _walk(n: int) -> Iterator[tuple[list[int], int | None]]:
     """Yield (desc, j) for every partition of n in the enumeration order.
 
     desc is the partition's descending parts, one list changed in place
     between steps, so a consumer reads it before asking for the next.  j
-    is the position the step grew, None at the all-ones start.  The step
-    is lex_successor's: scan back from the end for the last part that is
-    smaller than the part before it and has at least one part after it,
-    add one to it, and refill the tail with ones.
+    is the position the step grew, None at the all-ones start.  The step:
+    scan back from the end for the last part that is smaller than the
+    part before it (or is the first part) and has at least one part after
+    it.  Add one to that part, take the unit from the parts after it, and
+    write what is left of them as ones.  The walk ends at (n,), where no
+    such part is left.
     """
     if isinstance(n, bool) or not isinstance(n, int):
         raise ValueError(f"n must be an int, got {n!r}")

@@ -19,13 +19,13 @@ a_j <= alpha < a_{j+1} (a_0 = 0) the tail exponent is linear in alpha,
 geometric sum.  band_schedule lists the bands, and every route is built
 from that one list: psi costs O(k) big-int powers whatever the size of
 the parts.  _psi_band_sum (behind _psi_prime_power, cached) evaluates the
-bands of one shape at x = p; psi_row is the same sum, uncached, over any
-list of shapes, and stays as a test reference.  psi_chain, behind the
-monotonicity check, reads the same bands from the largest part down
-along the partition walk: a step changes two bands, so each shape costs
-O(1) big-int operations.  psi_symbolic in the polynomial module reads
-the same bands in Z[x].  psi_p_alt keeps the literal per-alpha sum as an
-independent reference.
+bands of one shape at x = p.  psi_chain, behind the monotonicity check,
+reads the same bands from the largest part down along the partition
+walk: a step changes two bands, so each shape costs O(1) big-int
+operations.  psi_symbolic in the polynomial module reads the same bands
+in Z[x].  psi_p_alt keeps the literal per-alpha sum as an independent
+reference; it stays, with the f_eval it calls, for bench/checks.py and
+the tests.
 
 An order n = p_1^{e_1} ... p_r^{e_r} has one abelian type per choice of a
 partition of each e_i, and psi of a type is the product of one p-group
@@ -82,7 +82,6 @@ __all__ = [
     "psi_p_alt",
     "psi_rank2",
     "psi_rank3",
-    "psi_row",
     "type_labels",
     "type_psis",
 ]
@@ -198,18 +197,6 @@ def _psi_band_sum(p: int, parts: tuple[int, ...]) -> int:
         tail += p ** (slope * lo + offset) * exact_div(
             p ** (slope * length) - 1, p ** slope - 1)
     return p ** degree - (p - 1) * tail
-
-
-def psi_row(p: int, shapes) -> list[int]:
-    """psi of the p-group of every shape in `shapes`, in order.
-
-    The band sum of _psi_band_sum, taken uncached for each shape, so
-    nothing is left behind in the _psi_band_sum cache.  No production
-    route calls it; the tests check psi_chain against it.
-    """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    return [_psi_band_sum.__wrapped__(p, s.parts) for s in shapes]
 
 
 def _shared_powers(p: int, degree: int):

@@ -1,11 +1,17 @@
 """Shared helpers for the test suite.
 
 Everything here is deliberately independent of the library's algorithms:
-a recursive partition generator and counter, the literal piecewise variant
-of the f-function, order computation by repeated addition, and a compact
-integer-encoded group driver for the subgroup-heavy tests.  These are the
-oracles the library is judged against, so none of them may share code with
-the implementation under test.
+a recursive partition generator and counter, the step-by-step and
+padded-tuple references of the partition order (to_padded_tuple,
+from_padded_tuple, lex_compare, lex_successor), the literal piecewise
+variant of the f-function, order computation by repeated addition, and a
+compact integer-encoded group driver for the subgroup-heavy tests.  These
+are the oracles the library is judged against, so none of them may share
+code with the implementation under test.  The module imports one name
+from the package, the Partition record the order references take and
+return; tests/test_tools.py pins that.  The helpers that drive the
+library itself (type_of_factors, run_python, forge_psi) import it inside
+their bodies.
 """
 
 import os
@@ -14,6 +20,8 @@ import sys
 from functools import lru_cache
 from itertools import product
 from math import gcd, lcm, prod
+
+from ordersum.partitions import Partition
 
 
 def reference_partitions(n: int) -> list[tuple[int, ...]]:
@@ -36,6 +44,66 @@ def reference_partitions(n: int) -> list[tuple[int, ...]]:
 
     descending = sorted(gen(n, n), key=padded)
     return [tuple(reversed(d)) for d in descending]
+
+
+def to_padded_tuple(partition: Partition) -> tuple[int, ...]:
+    """Embed a partition of n as its descending tuple zero-padded to length n."""
+    desc = tuple(sorted(partition.parts, reverse=True))
+    return desc + (0,) * (partition.n - len(desc))
+
+
+def from_padded_tuple(padded: tuple[int, ...]) -> Partition:
+    """Inverse of to_padded_tuple: strip zeros, reverse to ascending parts."""
+    parts = [a for a in padded if a != 0]
+    if not parts:
+        raise ValueError("padded tuple has no nonzero parts")
+    if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
+        raise ValueError(f"padded tuple must be descending, got {padded!r}")
+    if sum(parts) != len(padded):
+        raise ValueError(
+            f"padded tuple {padded!r} has length {len(padded)}, expected {sum(parts)}"
+        )
+    return Partition(tuple(reversed(parts)))
+
+
+def lex_compare(a: tuple[int, ...], b: tuple[int, ...]) -> int:
+    """Compare two equal-length padded tuples; returns -1, 0 or 1.
+
+    The first differing position decides.  The comparison is written out
+    position by position rather than relying on builtin tuple ordering, so
+    the order definition is spelled out in one place.
+    """
+    if len(a) != len(b):
+        raise ValueError(
+            f"cannot compare padded tuples of lengths {len(a)} and {len(b)}")
+    for x, y in zip(a, b):
+        if x < y:
+            return -1
+        if x > y:
+            return 1
+    return 0
+
+
+def lex_successor(partition: Partition) -> Partition | None:
+    """Next partition of the same n in the enumeration order, or None at (n,).
+
+    Working on the descending form (a_1 >= a_2 >= ...), find the last
+    position j whose entry can grow: a_j + 1 must not exceed the entry
+    before it, and the suffix from j must have enough mass left to cover
+    the increment.  Increase a_j by one and flatten everything after it
+    into ones.  This is the reference definition of the step; _walk takes
+    the same step in place.
+    """
+    desc = [a for a in to_padded_tuple(partition) if a != 0]
+    for j in range(len(desc) - 1, -1, -1):
+        cap = desc[j - 1] if j > 0 else partition.n
+        suffix = sum(desc[j:])
+        if desc[j] + 1 <= cap and desc[j] + 1 <= suffix:
+            head = desc[:j] + [desc[j] + 1]
+            rest = suffix - desc[j] - 1
+            return Partition(tuple(sorted(head)) if rest == 0
+                             else tuple(sorted(head + [1] * rest)))
+    return None
 
 
 @lru_cache(maxsize=None)
@@ -89,7 +157,6 @@ def psi_by_definition(moduli) -> int:
 
 def type_of_factors(factors):
     """Group type for a list of (p, exponent) cyclic factors, any order."""
-    from ordersum.partitions import Partition
     from ordersum.psi_core import AbelianGroupType, PGroupType
 
     by_prime: dict[int, list[int]] = {}

@@ -842,6 +842,29 @@ def test_cli_import_leaves_multiprocessing_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+def test_ctrl_c_reaches_an_in_process_caller_with_the_resume_note(tmp_path):
+    # Only entry(), the program, turns Ctrl-C into one line and a death by
+    # SIGINT; main() raises it on, and nothing imports signal.
+    absent = tmp_path / "absent.json"
+    proc = run_python(
+        "import sys\n"
+        "from ordersum import cli\n"
+        "def stop(*args, **kwargs):\n"
+        "    raise KeyboardInterrupt\n"
+        "cli.conjecture_sweep = cli.psi_abelian = stop\n"
+        "for argv in (['sweep', 'divisibility', '--to', '9',\n"
+        f"              '--checkpoint', {str(absent)!r}],\n"
+        "             ['sweep', 'conjecture', '--to', '9'], ['compute', '2']):\n"
+        "    try:\n"
+        "        cli.main(argv)\n"
+        "    except KeyboardInterrupt as exc:\n"
+        "        print(exc.args)\n"
+        "print('signal' in sys.modules)\n")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == (f"('--resume continues from {absent}',)\n"
+                           "(None,)\n(None,)\nFalse\n")
+
+
 SWEEP_KIND_FLAGS = {
     "conjecture": {"--from", "--to", "--workers", "--checkpoint", "--resume"},
     "divisibility": {"--from", "--to", "--workers", "--checkpoint",

@@ -2,16 +2,15 @@
 
 import pytest
 
-from ordersum.partitions import (
-    Partition,
+from ordersum.partitions import Partition, iter_partitions, partitions_of
+from support import (
     from_padded_tuple,
-    iter_partitions,
     lex_compare,
     lex_successor,
-    partitions_of,
+    reference_partition_count,
+    reference_partitions,
     to_padded_tuple,
 )
-from support import reference_partition_count, reference_partitions
 
 
 def test_partition_validation():

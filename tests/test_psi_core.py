@@ -4,9 +4,9 @@ import pickle
 
 import pytest
 
-from ordersum.arith import exact_div
+from ordersum.arith import exact_div, is_prime
 from ordersum.oracle import psi_bruteforce
-from ordersum.partitions import Partition, lex_successor, partitions_of
+from ordersum.partitions import Partition, partitions_of
 from ordersum.polynomial import psi_symbolic
 from ordersum import psi_core
 from ordersum.psi_core import (
@@ -30,11 +30,10 @@ from ordersum.psi_core import (
     psi_p_alt,
     psi_rank2,
     psi_rank3,
-    psi_row,
     type_labels,
     type_psis,
 )
-from support import f_piecewise, reference_partition_count
+from support import f_piecewise, lex_successor, reference_partition_count
 
 PRIMES = (2, 3, 5, 7, 11, 13)
 
@@ -386,6 +385,18 @@ def test_type_table_is_the_record_route():
                                               for t in types], n
     assert type_psis([]) == [1]
     assert type_labels([]) == ["1"]
+
+
+def psi_row(p: int, shapes) -> list[int]:
+    """psi of the p-group of every shape in `shapes`, in order.
+
+    The band sum of _psi_band_sum, taken uncached for each shape, so
+    nothing is left behind in the _psi_band_sum cache.  This file's
+    reference for psi_chain; no route of the package needs it.
+    """
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    return [psi_core._psi_band_sum.__wrapped__(p, s.parts) for s in shapes]
 
 
 @pytest.mark.parametrize("p", [2, 3, 997])

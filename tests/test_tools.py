@@ -1,5 +1,6 @@
-"""The scripts under tools/ run against this checkout, and the private
-names that the package's modules import from each other are pinned."""
+"""The scripts under tools/ run against this checkout, the private names
+that the package's modules import from each other are pinned, and so is
+the one name the test references import from the package."""
 
 import ast
 import runpy
@@ -57,3 +58,26 @@ def test_package_modules_share_only_the_pinned_private_names():
                                if alias.name.startswith("_"))
     assert reached == {("psi_core", "partitions", "_walk"),
                        ("polynomial", "psi_core", "_corollary2_forms")}
+
+
+def test_test_references_import_only_partition_from_the_package():
+    # The references in tests/support.py share no code with the package:
+    # at module level they reach it for the Partition record alone.  Only
+    # the helpers that drive the library import more, inside their bodies.
+    tree = ast.parse((ROOT / "tests" / "support.py").read_text(encoding="utf-8"))
+    reached, drivers = set(), set()
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.ImportFrom):
+                names = {(node.module, alias.name) for alias in node.names}
+            elif isinstance(node, ast.Import):
+                names = {(alias.name, None) for alias in node.names}
+            else:
+                continue
+            names = {n for n in names if n[0].split(".")[0] == "ordersum"}
+            if not isinstance(top, ast.FunctionDef):
+                reached.update(names)
+            elif names:
+                drivers.add(top.name)
+    assert reached == {("ordersum.partitions", "Partition")}
+    assert drivers == {"type_of_factors", "run_python", "forge_psi"}

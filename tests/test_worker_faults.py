@@ -1,5 +1,5 @@
 """A sweep worker that raises or dies, or a parent that is stopped, hangs
-no one and leaves no process behind.
+no one and leaves no process behind; Ctrl-C prints one line.
 
 Each test runs its sweep in a fresh interpreter under a timeout, so a hang
 fails the test instead of stopping the suite.  Worker processes are found
@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import ordersum
+from ordersum.analysis import load_checkpoint
 from support import run_python
 
 pytestmark = pytest.mark.skipif(not Path("/proc/self/task").is_dir(),
@@ -155,3 +156,30 @@ def test_a_stopped_parent_leaves_no_worker(tmp_path, sig):
     assert "Process ForkProcess" not in err and "BrokenPipe" not in err
     if sig == signal.SIGKILL:
         assert err == ""
+    else:
+        assert err == "interrupted\n"
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_ctrl_c_prints_one_line_and_leaves_a_checkpoint_to_resume(
+        tmp_path, workers):
+    proc = start_cli("sweep", "conjecture", "--to", "3000000", "--workers",
+                     str(workers), "--checkpoint", "progress.json",
+                     cwd=tmp_path)
+    try:
+        assert wait_for((tmp_path / "progress.json").exists, 30)
+        # Every lane is forked before the first block is read; one worker
+        # forks none.
+        lanes = children(proc.pid)
+        assert len(lanes) == (0 if workers == 1 else workers)
+        # To the whole process group, as a terminal sends Ctrl-C.
+        os.killpg(proc.pid, signal.SIGINT)
+        gone = wait_for(lambda: not any(alive(pid) for pid in lanes), 10)
+    finally:
+        out, err = finish(proc, 10)
+    assert (proc.returncode, out) == (-signal.SIGINT, "")
+    assert err == "interrupted; --resume continues from progress.json\n"
+    assert gone
+    saved = load_checkpoint(str(tmp_path / "progress.json"))
+    # Blocks of 1000 orders from 2 end at 1001, 2001, ...
+    assert saved.max_done % 1000 == 1 and 1001 <= saved.max_done < 3000000
