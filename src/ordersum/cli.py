@@ -39,8 +39,8 @@ a kill by signal N; the checkpoint holds every block before A, so
 Run as a program (entry), it exits 141 without a traceback when the
 reader of its standard output closes the pipe early (`| head`).  On
 Ctrl-C it prints one line, "interrupted", or for a conjecture or
-divisibility sweep with --checkpoint PATH "interrupted; --resume
-continues from PATH", and ends by SIGINT (a shell shows 130); an
+divisibility sweep whose --checkpoint PATH has been written "interrupted;
+--resume continues from PATH", and ends by SIGINT (a shell shows 130); an
 in-process main() caller gets the KeyboardInterrupt.
 Large group-theoretic values appear in JSON output as exact decimal
 strings so nothing is ever rounded.
@@ -567,7 +567,8 @@ def main(argv=None) -> int:
         return EXIT_INTERNAL
     except KeyboardInterrupt:  # raised on, with the note entry() prints
         path = args.checkpoint if args.handler is _sweep_counting else None
-        raise KeyboardInterrupt(path and f"--resume continues from {path}")
+        raise KeyboardInterrupt(f"--resume continues from {path}"
+                                if path and os.path.isfile(path) else None)
     finally:
         if limit is not None:
             sys.set_int_max_str_digits(limit)

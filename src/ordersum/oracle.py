@@ -4,21 +4,33 @@ Everything here works on an explicit presentation of a finite abelian
 group as Z_{m_1} x ... x Z_{m_r} with r >= 0 (component moduli, each at
 least 2, addition mod each modulus; the empty product, r = 0, is the
 one-element group, whose only element () has order 1) and computes from
-the two facts that define element orders there: the residue r of Z_m has
-order m / gcd(m, r), and an element of a direct product has the lcm of
-its components' orders.  psi_bruteforce visits every residue of every
-factor and counts the group's elements by order; psi_relative visits
-every element of the subgroup and counts the group's elements by
-relative order.  It is deliberately independent of the formula modules:
-no totient, no partitions, no p-group types, no closed forms.  The only
-import from the package is arith's integer factorization, which lists
-the primes of an element order for relative_order and the divisors of
-the exponent for psi_relative.  The formula side is tested against this
-module, never the other way round.
+two facts: Z_m[e], the residues r with e * r = 0 mod m, has gcd(e, m)
+elements, and e kills an element of a direct product exactly when it
+kills every component.  So the residue r of Z_m has order m / gcd(m, r),
+an element has the lcm of its components' orders (element_order), and
+G[e] has prod gcd(e, m_i) elements.  The order-sums follow one counting
+rule, written once in psi_relative: with L the exponent lcm(m_i) and
+c(e) the number of g with e * g in the subgroup H,
 
-Enumerations are guarded by an element-count cap (default 2**20) on the
-group order, so a typo in a group spec cannot silently start a week-long
-loop.
+    psi_rel(G, H) = sum over e | L of e * c(e) * prod over primes
+                    q | L/e of (1 - q),
+
+the Moebius inversion of c over the divisors of L (Hardy and Wright,
+An Introduction to the Theory of Numbers, 16.4).  psi_bruteforce is that
+rule over the trivial subgroup, where c(e) = |G[e]|.  H is still
+enumerated, by subgroup_closure and by psi_relative's tally.  The module
+is deliberately independent of the formula modules: no totient, no
+partitions, no p-group types, no closed forms of psi.  The only import
+from the package is arith's integer factorization, which lists the
+primes of an element order for relative_order and the divisors of the
+exponent, with their weights, for psi_relative.  The formula side is
+tested against this module, never the other way round.
+
+Enumerations are guarded by an element-count cap (default 2**20):
+subgroup_closure stops past that many elements, and both order-sums
+refuse a larger group, so a typo in a group spec cannot silently start a
+week-long loop.  The count itself costs one pass over H's tally per
+divisor of L, whatever the group order.
 """
 
 from collections import Counter
@@ -96,27 +108,17 @@ def element_order(moduli, element) -> int:
 
 
 def psi_bruteforce(moduli, *, max_enum: int = DEFAULT_ENUM_CAP) -> int:
-    """Sum of element orders, from the group's count of elements by order.
+    """Sum of element orders: psi_relative over the trivial subgroup.
 
-    The count is built one cyclic factor at a time.  Every residue r of
-    Z_m is visited and its order m / gcd(m, r) tallied; an element of
-    A x Z_m has order lcm(a, b) for its components' orders a and b, so
-    N_{A x Z_m}(d) is the sum of N_A(a) * N_{Z_m}(b) over lcm(a, b) = d.
-    The cost is one gcd per residue of each factor plus one lcm per pair
-    of distinct orders, not one lcm per element.  The cap still applies
-    to the group order, the number of elements counted.
+    The order of g is its order relative to {0}, and the g with e * g = 0
+    are G[e], of prod gcd(e, m_i) elements, so the one rule of
+    psi_relative reads psi(G) = sum over e | L of
+    e * |G[e]| * prod over primes q | L/e of (1 - q), L the exponent.
+    The cost is one pass per divisor of L, not one per element.  The cap
+    still bounds the group order, the number of elements counted.
     """
-    ms = _check_moduli(moduli, max_enum)
-    counts = {1: 1}
-    for m in ms:
-        # residue r lands on gcd(m, r); its order is m // gcd(m, r)
-        tally = Counter(map(gcd, repeat(m, m), range(m)))
-        counts_next = Counter()
-        for a, count_a in counts.items():
-            for g, count_b in tally.items():
-                counts_next[lcm(a, m // g)] += count_a * count_b
-        counts = counts_next
-    return sum(d * count for d, count in counts.items())
+    ms = tuple(moduli)
+    return psi_relative(ms, {(0,) * len(ms)}, max_enum=max_enum)
 
 
 def subgroup_closure(moduli, generators, *,
@@ -184,32 +186,42 @@ def psi_relative(moduli, subgroup, *, max_enum: int = DEFAULT_ENUM_CAP) -> int:
     """Sum over the whole group of the order of each element relative to
     the subgroup.
 
-    Counted by relative order, not element by element.  The g with d * g
-    in H are the preimage of H under g -> d * g, whose kernel G[d] has
-    prod gcd(d, m_i) elements, and h lies in the image dG exactly when
-    gcd(d, m_i) divides h_i in every component, so there are
-    |G[d]| * |H & dG| of them.  Membership of h in dG depends only on the
-    tuple of gcd(h_i, m_i), so H is tallied by that tuple once, and each
-    divisor d of the exponent lcm(m_i) costs one pass over the tally.
-    Every relative order divides the exponent; taking away the g whose
-    relative order is a proper divisor of d leaves those of relative order
-    exactly d.  The subgroup must be closed under addition, and the cap
-    applies to the group order.  With the trivial subgroup this equals
-    psi_bruteforce; with the whole group it equals the group order.
+    Counted by divisors of the exponent L = lcm(m_i), not element by
+    element.  Let c(e) count the g with e * g in H.  They are the preimage
+    of H under g -> e * g, whose kernel G[e] has prod gcd(e, m_i)
+    elements (Z_m[e] has gcd(e, m), and e kills g exactly when it kills
+    every component), and h lies in the image eG exactly when gcd(e, m_i)
+    divides h_i in every component, so c(e) = |G[e]| * |H & eG|.  Every
+    relative order divides L, and e * g is in H exactly when the relative
+    order of g divides e, so c(e) sums the count N(d) of relative order
+    exactly d over d | e.  Moebius inversion gives N(d) as the sum of
+    mu(d/e) * c(e) over e | d, and summing d * N(d) over d | L leaves the
+    one rule
+
+        psi_rel(G, H) = sum over e | L of e * c(e) * prod over primes
+                        q | L/e of (1 - q),
+
+    its weights read off L's factorization as the divisors are built.
+    Membership of h in eG depends only on the tuple of gcd(h_i, m_i), so
+    H is still enumerated, tallied by that tuple once, and each divisor
+    costs one pass over the tally.  The subgroup must be closed under
+    addition, and the cap bounds the group order.  With the trivial
+    subgroup this is psi_bruteforce; with the whole group, the group order.
     """
     ms = _check_moduli(moduli, max_enum)
     identity = (0,) * len(ms)
     if identity not in subgroup:
         raise ValueError("subgroup does not contain the identity")
     tally = Counter(tuple(map(gcd, h, ms)) for h in subgroup)
-    divisors = [1]
+    # (e, e * prod (1 - q) over the primes q of L/e) for every e | L
+    terms = [(1, 1)]
     for q, a in factorize(lcm(*ms)):
-        divisors = [d * q**i for d in divisors for i in range(a + 1)]
-    exact = {}
-    for d in sorted(divisors):
-        kernel = tuple(map(gcd, repeat(d), ms))
+        terms = [(e * q**i, w * q**i * (1 - q if i < a else 1))
+                 for e, w in terms for i in range(a + 1)]
+    total = 0
+    for e, w in terms:
+        kernel = tuple(map(gcd, repeat(e), ms))
         image = sum(count for key, count in tally.items()
                     if not any(map(mod, key, kernel)))
-        exact[d] = prod(kernel) * image - sum(
-            count for e, count in exact.items() if d % e == 0)
-    return sum(d * count for d, count in exact.items())
+        total += w * prod(kernel) * image
+    return total

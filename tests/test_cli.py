@@ -844,16 +844,23 @@ def test_cli_import_leaves_multiprocessing_unloaded():
 
 def test_ctrl_c_reaches_an_in_process_caller_with_the_resume_note(tmp_path):
     # Only entry(), the program, turns Ctrl-C into one line and a death by
-    # SIGINT; main() raises it on, and nothing imports signal.
+    # SIGINT; main() raises it on, and nothing imports signal.  The note
+    # names a checkpoint only once the file is there: a fresh sweep stopped
+    # before its first block ends has nothing to resume.
     absent = tmp_path / "absent.json"
+    present = tmp_path / "present.json"
     proc = run_python(
         "import sys\n"
         "from ordersum import cli\n"
-        "def stop(*args, **kwargs):\n"
+        "def stop(*args, checkpoint_path=None, **kwargs):\n"
+        f"    if checkpoint_path == {str(present)!r}:\n"
+        "        open(checkpoint_path, 'w').close()  # its first block ended\n"
         "    raise KeyboardInterrupt\n"
         "cli.conjecture_sweep = cli.psi_abelian = stop\n"
         "for argv in (['sweep', 'divisibility', '--to', '9',\n"
         f"              '--checkpoint', {str(absent)!r}],\n"
+        "             ['sweep', 'conjecture', '--to', '9',\n"
+        f"              '--checkpoint', {str(present)!r}],\n"
         "             ['sweep', 'conjecture', '--to', '9'], ['compute', '2']):\n"
         "    try:\n"
         "        cli.main(argv)\n"
@@ -861,8 +868,9 @@ def test_ctrl_c_reaches_an_in_process_caller_with_the_resume_note(tmp_path):
         "        print(exc.args)\n"
         "print('signal' in sys.modules)\n")
     assert (proc.returncode, proc.stderr) == (0, "")
-    assert proc.stdout == (f"('--resume continues from {absent}',)\n"
+    assert proc.stdout == (f"(None,)\n('--resume continues from {present}',)\n"
                            "(None,)\n(None,)\nFalse\n")
+    assert not absent.exists()
 
 
 SWEEP_KIND_FLAGS = {

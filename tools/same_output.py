@@ -27,7 +27,9 @@ from pathlib import Path
 
 # Every subcommand and every sweep kind: text and --json, a checkpoint run
 # and its resume, --workers 2 and 3 (lanes of unequal length, and a
-# 2-worker resume), report files, usage errors, enumeration caps
+# 2-worker resume), report files, usage errors, enumeration caps, the
+# oracle's divisor count on a cyclic 2-group, a 192-divisor exponent and
+# the trivial and a proper subgroup of many-prime groups,
 # and orders with prime factors past 10**6 for trial division, then sweeps
 # at the benchmark's orders, around its hits at 1107795 and 1854699.  A
 # file named here lives in the tree's working directory.
@@ -40,6 +42,8 @@ COMMANDS = [
     ["compute", "2^[2,1]"],
     ["compute", "1000003^[1,2]*1000033"],
     ["compute", "2^[21]", "--verify"],
+    ["compute", "2^[20]", "--verify", "--json"],
+    ["compute", "2^[3]*3^[2]*5*7*11*13", "--verify"],
     ["list", "3600"],
     ["list", "3600", "--json"],
     ["list", "1000006000009"],
@@ -56,6 +60,8 @@ COMMANDS = [
     ["relative", "2^[1,2]", "--gen", "1"],
     ["relative", "3^[1,1]", "--gen", "1,1", "--gen", "2"],
     ["relative", "2^[10]", "--gen", "1", "--max-enum", "100"],
+    ["relative", "2*3*5*7*11*13", "--json"],
+    ["relative", "2^[2]*3^[3]*5^[2]", "--gen", "2,3,5"],
     ["sweep", "conjecture", "--to", "2000"],
     ["sweep", "conjecture", "--to", "2000", "--workers", "2", "--json"],
     ["sweep", "divisibility", "--to", "4000", "--json"],
