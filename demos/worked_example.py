@@ -5,7 +5,7 @@
 2. The same values from the closed formula and from the brute-force oracle
 3. A bigger showpiece: order 3887, where the order-sum is an exact
    multiple of the group order
-4. Every abelian type of order 72, formula vs enumeration
+4. Every abelian type of order 72, formula vs oracle count
 """
 
 import sys
@@ -39,8 +39,8 @@ klein = parse_group_spec("2^[1,1]")
 z3 = parse_group_spec("3")
 check("formula gives 7 for 2^[1,1]", psi_abelian(klein) == 7)
 check("formula gives 7 for 3", psi_abelian(z3) == 7)
-check("enumeration agrees for 2^[1,1]", psi_bruteforce((2, 2)) == 7)
-check("enumeration agrees for 3", psi_bruteforce((3,)) == 7)
+check("oracle count agrees for 2^[1,1]", psi_bruteforce((2, 2)) == 7)
+check("oracle count agrees for 3", psi_bruteforce((3,)) == 7)
 print()
 
 print("The smallest abelian group whose order divides its order-sum:")
@@ -55,7 +55,7 @@ check("oracle count of the 3887 elements by order agrees",
       psi_bruteforce(component_moduli(group)) == value)
 print()
 
-print("All abelian types of order 72, formula vs enumeration:")
+print("All abelian types of order 72, formula vs oracle count:")
 for g in group_type_of_order(72):
     spec = format_group_spec(g)
     value = psi_abelian(g)

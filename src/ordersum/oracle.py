@@ -26,11 +26,12 @@ primes of an element order for relative_order and the divisors of the
 exponent, with their weights, for psi_relative.  The formula side is
 tested against this module, never the other way round.
 
-Enumerations are guarded by an element-count cap (default 2**20):
-subgroup_closure stops past that many elements, and both order-sums
-refuse a larger group, so a typo in a group spec cannot silently start a
-week-long loop.  The count itself costs one pass over H's tally per
-divisor of L, whatever the group order.
+Every entry that walks or counts a group, subgroup_closure and both
+order-sums, refuses a group of more than max_enum elements (default
+2**20) at entry, so a typo in a group spec cannot silently start a
+week-long loop.  The cap is on the group order |G|, the bound on the H
+that subgroup_closure walks; the count itself costs one pass over H's
+tally per divisor of L, whatever the group order.
 """
 
 from collections import Counter
@@ -125,29 +126,25 @@ def subgroup_closure(moduli, generators, *,
                      max_enum: int = DEFAULT_ENUM_CAP) -> frozenset:
     """Subgroup generated by the given elements, as a frozenset of tuples.
 
-    Breadth-first closure under adding each generator; no generators give
-    the trivial subgroup.  A generator that does not fit the group raises
-    ValueError naming it by its 1-based index ("generator 2: ...").
-    Raises EnumerationCapError if the closure would exceed max_enum
-    elements.
+    Closure under adding each generator, in one list that grows as the
+    walk reads it; no generators give the trivial subgroup.  A group of
+    more than max_enum elements raises EnumerationCapError naming |G|
+    before any generator is checked, as the order-sums do, so the walk,
+    which never holds more than |G| elements, needs no cap of its own.
+    A generator that does not fit the group raises ValueError naming it
+    by its 1-based index ("generator 2: ...").
     """
-    ms = _check_moduli(moduli)
+    ms = _check_moduli(moduli, max_enum)
     gens = [_check_element(ms, g, f"generator {i}")
             for i, g in enumerate(generators, 1)]
-    identity = (0,) * len(ms)
-    seen = {identity}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for g in gens:
-                b = tuple((x + y) % m for x, y, m in zip(a, g, ms))
-                if b not in seen:
-                    if len(seen) >= max_enum:
-                        raise EnumerationCapError(len(seen) + 1, max_enum)
-                    seen.add(b)
-                    nxt.append(b)
-        frontier = nxt
+    walk = [(0,) * len(ms)]
+    seen = set(walk)
+    for a in walk:
+        for g in gens:
+            b = tuple((x + y) % m for x, y, m in zip(a, g, ms))
+            if b not in seen:
+                seen.add(b)
+                walk.append(b)
     return frozenset(seen)
 
 

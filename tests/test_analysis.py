@@ -102,6 +102,8 @@ def test_scan_orders_counts_types():
     expected = sum(len(group_type_of_order(n)) for n in range(1, 101))
     assert outcome.types_scanned == expected
     assert outcome.collisions == []
+    with pytest.raises(ValueError, match="start must be >= 1"):
+        scan_orders(0, 10)
 
 
 @pytest.mark.parametrize("workers", [2, 3, 4])

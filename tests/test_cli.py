@@ -12,6 +12,7 @@ import pytest
 
 import ordersum.analysis as analysis
 import ordersum.cli as cli
+import ordersum.oracle as oracle
 import ordersum.polynomial as polynomial
 import ordersum.psi_core as psi_core
 from ordersum.arith import ExactDivisionError
@@ -809,15 +810,16 @@ def test_a_five_at_order_2_or_3_exits_3(capsys, monkeypatch, order, workers):
 
 def test_relative_checks_the_cap_before_the_closure(capsys, monkeypatch):
     # The cap is on |G|; building H first would walk 2^20 elements and
-    # then name the closure's size, not the group's.
+    # then name the closure's size, not the group's.  No generator is
+    # checked, so no element is walked, before the cap refuses the group.
     called = []
-    real = cli.subgroup_closure
+    real = oracle._check_element
 
-    def closure(*args, **kwargs):
+    def check(*args, **kwargs):
         called.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "subgroup_closure", closure)
+    monkeypatch.setattr(oracle, "_check_element", check)
     code, out, err = run(capsys, "relative", "2^[21]", "--gen", "1")
     assert (code, out) == (2, "")
     assert err == ("error: enumeration of 2097152 elements exceeds the cap of "

@@ -219,6 +219,11 @@ def test_subgroup_closure_is_closed():
 def test_subgroup_closure_cap():
     with pytest.raises(EnumerationCapError):
         subgroup_closure((64, 64), [(1, 0), (0, 1)], max_enum=100)
+    # The cap is on |G|, not on H: a 2-element H of a 1024-element group
+    # is refused at entry, naming the group order.
+    with pytest.raises(EnumerationCapError) as info:
+        subgroup_closure((1024,), [(512,)], max_enum=100)
+    assert (info.value.size, info.value.cap) == (1024, 100)
 
 
 def test_relative_order_examples():
@@ -233,6 +238,9 @@ def test_relative_order_examples():
 def test_relative_order_requires_identity():
     with pytest.raises(ValueError):
         relative_order((4,), frozenset({(2,)}), (1,))
+    with pytest.raises(ValueError,
+                       match="subgroup does not contain the identity"):
+        psi_relative((4,), frozenset({(2,)}))
 
 
 def test_relative_order_one_iff_member():
@@ -347,10 +355,11 @@ def test_psi_relative_trivial_subgroup_large_group():
 
 def test_psi_relative_direct_factor_large_group():
     # <(2,0,0)> is the order-2 subgroup of Z_4; the quotient is
-    # Z_2 x Z_27 x Z_25
+    # Z_2 x Z_27 x Z_25, whose psi comes from the formula layer
     moduli = (4, 27, 25)
     h = subgroup_closure(moduli, [(2, 0, 0)])
-    assert psi_relative(moduli, h) == 2 * psi_bruteforce((2, 27, 25))
+    quotient = psi_abelian(type_of_factors([(2, 1), (3, 3), (5, 2)]))
+    assert psi_relative(moduli, h) == 2 * quotient
 
 
 @pytest.mark.parametrize("moduli", [(12, 30), (8, 9, 5)])

@@ -17,6 +17,8 @@ def test_partition_validation():
     assert Partition((1, 1, 2)).n == 4
     assert Partition((1, 1, 2)).k == 3
     assert str(Partition((1, 1, 2))) == "[1,1,2]"
+    assert list(Partition((1, 1, 3))) == [1, 1, 3]
+    assert len(Partition((1, 1, 3))) == 3
     with pytest.raises(ValueError):
         Partition(())
     with pytest.raises(ValueError):

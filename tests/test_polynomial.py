@@ -65,6 +65,9 @@ def test_exact_div():
     assert P(1, 0, 0, 1).exact_div(P(1, 1)) == P(1, -1, 1)
     with pytest.raises(ExactDivisionError):
         P(1, 0, 1).exact_div(P(1, 1))
+    # 2 does not divide the leading coefficient 1
+    with pytest.raises(ExactDivisionError):
+        P(1, 0, 1).exact_div(P(1, 2))
     with pytest.raises(ExactDivisionError):
         P(1, 1).exact_div(P())
     with pytest.raises(ExactDivisionError):

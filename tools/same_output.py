@@ -27,9 +27,10 @@ from pathlib import Path
 
 # Every subcommand and every sweep kind: text and --json, a checkpoint run
 # and its resume, --workers 2 and 3 (lanes of unequal length, and a
-# 2-worker resume), report files, usage errors, enumeration caps, the
-# oracle's divisor count on a cyclic 2-group, a 192-divisor exponent and
-# the trivial and a proper subgroup of many-prime groups,
+# 2-worker resume), report files, usage errors, the cap below, at and
+# above a group's order, the oracle's divisor count on a cyclic 2-group, a
+# 192-divisor exponent, the trivial and proper subgroups of many-prime
+# groups and subgroups walked from two and three generators,
 # and orders with prime factors past 10**6 for trial division, then sweeps
 # at the benchmark's orders, around its hits at 1107795 and 1854699.  A
 # file named here lives in the tree's working directory.
@@ -62,6 +63,13 @@ COMMANDS = [
     ["relative", "2^[10]", "--gen", "1", "--max-enum", "100"],
     ["relative", "2*3*5*7*11*13", "--json"],
     ["relative", "2^[2]*3^[3]*5^[2]", "--gen", "2,3,5"],
+    ["relative", "2^[10]", "--gen", "512", "--max-enum", "100"],
+    ["relative", "2^[10]", "--gen", "512", "--max-enum", "1023", "--json"],
+    ["relative", "2^[10]", "--gen", "512", "--max-enum", "1024", "--json"],
+    ["relative", "2^[2]*3^[3]*5^[2]", "--gen", "2,0,0", "--gen", "0,3,5",
+     "--json"],
+    ["relative", "2^[21]", "--gen", "1,1"],
+    ["relative", "3^[1,2]", "--gen", "1,3", "--gen", "0,1", "--gen", "2,2"],
     ["sweep", "conjecture", "--to", "2000"],
     ["sweep", "conjecture", "--to", "2000", "--workers", "2", "--json"],
     ["sweep", "divisibility", "--to", "4000", "--json"],
