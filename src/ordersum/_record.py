@@ -1,17 +1,21 @@
 """The bases of the library's record classes.
 
-A FrozenRecord subclass names its fields, in order, as its __slots__.  It
-is built from positional or keyword field values, compares and hashes by
-field value (never equal to an instance of another class), shows every
-field in its repr, refuses assignment and deletion, and pickles by passing
-its field values back to the constructor, which also lets it cross the
-pipes of the sweep's forked worker lanes.  It does what a frozen
-dataclass with slots does, without importing dataclasses, which costs
-milliseconds at every start of the command line.
+A FrozenRecord subclass names its fields, in order, as its typed
+annotations; a subclass that annotates nothing keeps its parent's fields.
+Those annotations are the one list of a record's fields: the base reads
+them here, and the checkpoint codec reads them to write and to read a
+record.  A record is built from positional or keyword field values,
+compares and hashes by field value (never equal to an instance of another
+class), shows every field in its repr, refuses assignment and deletion,
+and pickles by passing its field values back to the constructor, which
+also lets it cross the pipes of the sweep's forked worker lanes.  Its
+instances keep their fields in a __dict__, as a plain object does.  It
+needs no import of dataclasses, which costs milliseconds at every start
+of the command line.
 
 The constructor runs the subclass's _check hook, so a record built from
 outside values is always valid.  FrozenRecord._unchecked(*values) is the
-one trusted constructor: it sets the fields, in __slots__ order as
+one trusted constructor: it sets the fields, in annotation order as
 __reduce__ passes them, and runs neither __init__ nor _check.  Use it only
 where the calling module has just checked, or made by construction, every
 rule that _check would check again; every call across a public boundary
@@ -24,12 +28,15 @@ not hashable.
 
 
 class FrozenRecord:
-    """Immutable record whose fields are its __slots__."""
+    """Immutable record whose fields are its annotations, in order."""
 
-    __slots__ = ()
+    _fields = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(cls.__annotations__) or cls._fields
 
     def __init__(self, *args, **kwargs) -> None:
-        names = type(self).__slots__
+        names = type(self)._fields
         if len(args) > len(names):
             raise TypeError(f"{type(self).__name__} takes {len(names)} "
                             f"fields, got {len(args)}")
@@ -51,12 +58,12 @@ class FrozenRecord:
     def _unchecked(cls, *values):
         """The record of values that __init__ keeps and _check accepts."""
         record = object.__new__(cls)
-        for name, value in zip(cls.__slots__, values):
+        for name, value in zip(cls._fields, values):
             object.__setattr__(record, name, value)
         return record
 
     def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in type(self).__slots__])
+        return tuple([getattr(self, name) for name in type(self)._fields])
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -67,7 +74,7 @@ class FrozenRecord:
         return hash(self._values())
 
     def __repr__(self) -> str:
-        return _fields_repr(self, zip(type(self).__slots__, self._values()))
+        return _fields_repr(self, zip(type(self)._fields, self._values()))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

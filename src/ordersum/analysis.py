@@ -54,14 +54,14 @@ block and the worker's exit code (-N for signal N); the blocks before it
 are already in the checkpoint.  One worker scans in process and forks
 nothing.
 
-One codec reads and writes every object in a checkpoint.  A found record
-is written as {field: value} over its __slots__, with its order-sums as
-decimal strings (DECIMAL_FIELDS).  _read_json reads the root and each
-record by one rule: exactly the annotated fields, each of exactly its
-annotated type.  The reader then checks that every record describes an
-order the file says was scanned (2..max_done), that a hit's psi is its
-order times its quotient, and that a collision names two different
-groups.  Any defect raises CheckpointError, which names where in the file
+One codec reads and writes every object in a checkpoint, the root and
+each found record, by one rule: an object holds exactly its class's
+annotated fields, each of exactly its annotated type, with the order-sums
+as decimal strings (DECIMAL_FIELDS).  _write_json writes by that rule and
+_read_json reads by it.  The reader then checks that every record
+describes an order the file says was scanned (2..max_done), that a hit's
+psi is its order times its quotient, and that a collision names two
+different groups.  Any defect raises CheckpointError, which names where in the file
 it was found (divisible_hits[0], ...) and shows at most the first 20
 characters of a value read from it.
 """
@@ -120,7 +120,6 @@ BLOCK_SIZE = 1000
 class CollisionRecord(FrozenRecord):
     """Two distinct types of the same order with the same order-sum."""
 
-    __slots__ = ("order", "group_a", "group_b", "psi")
     order: int
     group_a: str
     group_b: str
@@ -130,7 +129,6 @@ class CollisionRecord(FrozenRecord):
 class DivisibleRecord(FrozenRecord):
     """A type whose order-sum is an exact multiple of the group order."""
 
-    __slots__ = ("order", "group", "psi", "quotient")
     order: int
     group: str
     psi: int
@@ -184,21 +182,33 @@ def _shown(value) -> str:
     return f"{head}... ({len(text)} characters)"
 
 
-def _record_json(record: FrozenRecord) -> dict:
-    """A found record as its checkpoint object: {field: value} over __slots__."""
-    return {name: str(value) if name in DECIMAL_FIELDS else value
-            for name, value in zip(type(record).__slots__, record._values())}
+def _write_json(value, kind):
+    """`value` of annotated type `kind` as _read_json reads it back.
+
+    int and str are written as they are, list[R] item by item, and a
+    record class R as an object of exactly R's annotated fields, with the
+    DECIMAL_FIELDS as decimal strings.
+    """
+    if kind is int or kind is str:
+        return value
+    if getattr(kind, "__origin__", None) is list:
+        return [_write_json(item, kind.__args__[0]) for item in value]
+    return {name: str(getattr(value, name)) if name in DECIMAL_FIELDS
+            else _write_json(getattr(value, name), field_kind)
+            for name, field_kind in kind.__annotations__.items()}
 
 
 def _read_json(value, kind, where: str):
     """A value decoded from a checkpoint file as `kind`, else CheckpointError.
 
-    `kind` is a field's annotated type: int, str, list[R], or a record
-    class R (the root is SweepCheckpoint), whose value must be an object
-    holding exactly R's annotated fields.  Types match exactly, so true is
-    not an integer; the DECIMAL_FIELDS are decimal strings, read by
-    parse_decimal.  `where` names the value in the file for the error:
-    root, max_done, divisible_hits[0].psi, ...
+    The inverse of _write_json.  `kind` is a field's annotated type: int,
+    str, list[R], or a class R whose annotations are its fields (a
+    FrozenRecord, or SweepCheckpoint at the root).  R's value must be an
+    object holding exactly those fields, and R is built from them by
+    keyword.  Types match exactly, so true is not an integer; the
+    DECIMAL_FIELDS are decimal strings, read by parse_decimal.  `where`
+    names the value in the file for the error: root, max_done,
+    divisible_hits[0].psi, ...
     """
     origin = getattr(kind, "__origin__", kind)
     wanted = origin if origin in (int, str, list) else dict
@@ -269,12 +279,7 @@ class SweepCheckpoint(MutableRecord):
         return cls(max_done=start - 1)
 
     def to_json_obj(self) -> dict:
-        return {
-            "version": self.version,
-            "max_done": self.max_done,
-            "collisions": [_record_json(c) for c in self.collisions],
-            "divisible_hits": [_record_json(d) for d in self.divisible_hits],
-        }
+        return _write_json(self, SweepCheckpoint)
 
     @classmethod
     def from_json_obj(cls, obj) -> "SweepCheckpoint":
@@ -609,8 +614,10 @@ def conjecture_sweep(start: int, stop: int,
     """Sweep [start, stop] recording collisions and divisibility hits.
 
     Continues the given checkpoint (or a fresh one) and returns it with
-    max_done advanced to stop.  The requested start must not leave a gap
-    above the checkpoint's watermark; orders already covered are skipped,
+    max_done advanced to stop.  The requested range must reach the
+    checkpoint's watermark: a start above max_done + 1 would leave a gap,
+    and a stop below max_done would report orders past the range, so
+    both raise CheckpointError.  Orders already covered are skipped,
     never rescanned.  When checkpoint_path is set the file is rewritten
     after every block, so an interrupted sweep loses at most one block;
     when no block is left to scan it is written once, as it stands.
@@ -628,6 +635,10 @@ def conjecture_sweep(start: int, stop: int,
         raise CheckpointError(
             f"gap between checkpoint (orders <= {checkpoint.max_done} done) "
             f"and requested start {start}")
+    if stop < checkpoint.max_done:
+        raise CheckpointError(
+            f"checkpoint (orders <= {checkpoint.max_done} done) is past "
+            f"the requested stop {stop}")
     effective = checkpoint.max_done + 1
     for block_end, outcome in _iter_block_outcomes(effective, stop, workers):
         checkpoint.collisions.extend(outcome.collisions)
@@ -650,8 +661,6 @@ def divisibility_search(max_order: int, *, workers: int = 1) -> list[DivisibleRe
 class ImageReport(FrozenRecord):
     """What the order-sum image over all orders <= max_order looks like."""
 
-    __slots__ = ("max_order", "types_scanned", "values_up_to_3", "conclusive",
-                 "explanation")
     max_order: int
     types_scanned: int
     values_up_to_3: tuple[int, ...]
@@ -712,8 +721,6 @@ class MonotonicityReport(FrozenRecord):
     types counts the chain's entries; psi_chain(p, n) gives the entries.
     """
 
-    __slots__ = ("n", "p", "types", "violations",
-                 "first_matches_flat_formula", "last_matches_cyclic_formula")
     n: int
     p: int
     types: int

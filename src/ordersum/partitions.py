@@ -40,7 +40,6 @@ __all__ = [
 class Partition(FrozenRecord):
     """An integer partition; parts ascending, every part >= 1."""
 
-    __slots__ = ("parts",)
     parts: tuple[int, ...]
 
     def _check(self) -> None:

@@ -32,7 +32,7 @@ class IntPoly(FrozenRecord):
     its own __init__, so equal polynomials compare and hash equal.
     """
 
-    __slots__ = ("coeffs",)
+    coeffs: tuple[int, ...]
 
     def __init__(self, coeffs=()) -> None:
         cs = list(coeffs)
@@ -153,7 +153,6 @@ def psi_symbolic(shape: Partition) -> IntPoly:
 class ClosedFormCheck(FrozenRecord):
     """One closed form compared against the direct polynomial."""
 
-    __slots__ = ("family", "closed", "residual")
     family: str
     closed: IntPoly
     residual: IntPoly
@@ -166,7 +165,6 @@ class ClosedFormCheck(FrozenRecord):
 class ClosedFormReport(FrozenRecord):
     """Every applicable closed form for one shape, with residuals."""
 
-    __slots__ = ("shape", "direct", "checks")
     shape: Partition
     direct: IntPoly
     checks: tuple[ClosedFormCheck, ...]

@@ -93,7 +93,6 @@ class PGroupType(FrozenRecord):
     shape (a_1 <= ... <= a_k) stands for Z_{p^{a_1}} x ... x Z_{p^{a_k}}.
     """
 
-    __slots__ = ("p", "shape")
     p: int
     shape: Partition
 
@@ -112,7 +111,6 @@ class AbelianGroupType(FrozenRecord):
     The trivial group is the empty product, components == ().
     """
 
-    __slots__ = ("components",)
     components: tuple[PGroupType, ...]
 
     def _check(self) -> None:

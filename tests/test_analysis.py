@@ -338,6 +338,21 @@ def test_conjecture_sweep_rejects_gap():
         conjecture_sweep(500, 600, cp)
 
 
+def test_conjecture_sweep_refuses_a_stop_below_the_watermark(tmp_path):
+    # max_done is never moved back, so a stop below it cannot be reported
+    # as the range swept; the file is left as it was.
+    path = str(tmp_path / "cp.json")
+    conjecture_sweep(2, 4000, checkpoint_path=path)
+    with open(path, "rb") as fh:
+        before = fh.read()
+    with pytest.raises(CheckpointError, match=r"orders <= 4000 done.*3000"):
+        conjecture_sweep(2, 3000, load_checkpoint(path), checkpoint_path=path)
+    with open(path, "rb") as fh:
+        assert fh.read() == before
+    with pytest.raises(CheckpointError):
+        conjecture_sweep(2, 3999, conjecture_sweep(2, 4000))
+
+
 def test_conjecture_sweep_rejects_bad_bounds():
     with pytest.raises(ValueError):
         conjecture_sweep(1, 10)

@@ -531,6 +531,21 @@ def test_sweep_checkpoint_rejects_corrupt_and_foreign(capsys, tmp_path):
     assert "gap" in err
 
 
+def test_sweep_resume_refuses_a_stop_below_the_watermark(capsys, tmp_path):
+    path = tmp_path / "cp.json"
+    code, _, _ = run(capsys, "sweep", "divisibility", "--to", "4000",
+                     "--checkpoint", str(path))
+    assert code == 1
+    before = path.read_bytes()
+    code, out, err = run(capsys, "sweep", "divisibility", "--to", "3000",
+                         "--checkpoint", str(path), "--resume")
+    assert code == 2
+    assert out == ""
+    assert err == ("error: checkpoint (orders <= 4000 done) is past the "
+                   "requested stop 3000\n")
+    assert path.read_bytes() == before
+
+
 def test_sweep_resume_rejects_non_ascii_digits(capsys, tmp_path):
     path = tmp_path / "digits.json"
     path.write_text(json.dumps({

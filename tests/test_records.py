@@ -10,6 +10,8 @@ import pickle
 
 import pytest
 
+from ordersum import analysis
+from ordersum._record import FrozenRecord
 from ordersum.analysis import (
     CollisionRecord,
     DivisibleRecord,
@@ -53,6 +55,14 @@ FROZEN = tuple(cls for cls in FIELDS if cls not in MUTABLE)
 # IntPoly((...)) repr; it joins every contract below that it shares.
 VALUES = {**FIELDS, IntPoly: ("coeffs",)}
 FROZEN_VALUES = FROZEN + (IntPoly,)
+
+
+class Sighting(FrozenRecord):
+    """A record declared by its annotations alone, in non-sorted order."""
+
+    order: int
+    psi: int
+    group: str
 
 
 def _samples() -> dict:
@@ -227,6 +237,26 @@ def test_trusted_construction_equals_the_validated_one(cls):
     assert hash(trusted) == hash(validated)
     assert repr(trusted) == repr(validated)
     assert pickle.loads(pickle.dumps(trusted)) == validated
+
+
+def test_a_record_declared_by_annotations_alone_has_those_fields():
+    record = Sighting(12, 77, group="2^[2]*3")
+    assert Sighting._fields == ("order", "psi", "group")
+    assert (record.order, record.psi, record.group) == (12, 77, "2^[2]*3")
+    assert record == Sighting(12, 77, "2^[2]*3")
+    assert record != Sighting(12, 77, "2^[1,1]*3")
+    assert hash(record) == hash(Sighting(order=12, psi=77, group="2^[2]*3"))
+    assert repr(record) == "Sighting(order=12, psi=77, group='2^[2]*3')"
+    assert pickle.loads(pickle.dumps(record)) == record
+    for bad in ((12, 77), (12, 77, "3", 0)):
+        with pytest.raises(TypeError):
+            Sighting(*bad)
+    # The checkpoint codec reads the same list: it writes the fields in
+    # order, psi as a decimal string, and reads them back.
+    written = analysis._write_json([record], list[Sighting])
+    assert written == [{"order": 12, "psi": "77", "group": "2^[2]*3"}]
+    assert list(written[0]) == ["order", "psi", "group"]
+    assert analysis._read_json(written, list[Sighting], "root") == [record]
 
 
 def test_frozen_records_need_every_field():

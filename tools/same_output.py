@@ -26,14 +26,15 @@ import tempfile
 from pathlib import Path
 
 # Every subcommand and every sweep kind: text and --json, a checkpoint run
-# and its resume, --workers 2 and 3 (lanes of unequal length, and a
-# 2-worker resume), report files, usage errors, the cap below, at and
-# above a group's order, the oracle's divisor count on a cyclic 2-group, a
-# 192-divisor exponent, the trivial and proper subgroups of many-prime
-# groups and subgroups walked from two and three generators,
-# and orders with prime factors past 10**6 for trial division, then sweeps
-# at the benchmark's orders, around its hits at 1107795 and 1854699.  A
-# file named here lives in the tree's working directory.
+# and its resume, a resume whose --to is below the watermark, --workers 2
+# and 3 (lanes of unequal length, and a 2-worker resume), report files,
+# usage errors, the cap below, at and above a group's order, the oracle's
+# divisor count on a cyclic 2-group, a 192-divisor exponent, the trivial
+# and proper subgroups of many-prime groups and subgroups walked from two
+# and three generators, and orders with prime factors past 10**6 for trial
+# division, then sweeps at the benchmark's orders, around its hits at
+# 1107795 and 1854699.  A file named here lives in the tree's working
+# directory.
 COMMANDS = [
     ["compute", "2^[1,2]*3"],
     ["compute", "13^[1,1]*23", "--json"],
@@ -77,6 +78,8 @@ COMMANDS = [
     ["sweep", "divisibility", "--to", "4000", "--checkpoint", "progress.json",
      "--resume"],
     ["sweep", "divisibility", "--to", "4000", "--checkpoint", "progress.json"],
+    ["sweep", "divisibility", "--to", "3000", "--checkpoint", "progress.json",
+     "--resume"],
     ["sweep", "divisibility", "--to", "6000", "--checkpoint", "progress.json",
      "--resume", "--workers", "2"],
     ["sweep", "divisibility", "--to", "8000", "--workers", "3", "--json"],
