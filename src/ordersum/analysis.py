@@ -82,6 +82,7 @@ from .arith import factorize, smallest_prime_factors
 from .partitions import Partition
 from .psi_core import (
     parse_decimal,
+    parse_shape,
     prime_psis,
     psi_chain,
     psi_cyclic,
@@ -739,9 +740,10 @@ class MonotonicityReport(FrozenRecord):
                 and self.last_matches_cyclic_formula)
 
 
-def monotonicity_check(n: int, p: int,
-                       entries: Iterable[tuple[Partition, int]] | None = None
-                       ) -> MonotonicityReport:
+def monotonicity_check(
+        n: int, p: int,
+        entries: Iterable[tuple[Partition | str, int]] | None = None
+) -> MonotonicityReport:
     """Fold the order-sums of all p-group types of order p^n into a report.
 
     In the partition enumeration order the values are expected to be
@@ -750,13 +752,16 @@ def monotonicity_check(n: int, p: int,
     cyclic closed form gives).  A non-monotonic chain is reported, not
     assumed away; it is the cheapest whole-row cross-check the formulas
     have.  entries is the chain, psi_core.psi_chain(p, n) unless a caller
-    hands in that chain wrapped (the command line writes each entry's
-    JSON text as it passes).  It is read once, one entry at a time: the
-    fold keeps the count, the previous entry and the violations, so
-    memory does not grow with the chain.  The two endpoint checks run the
-    Corollary 2 closed forms, a route independent of the chain's.  n must
-    be an int (not a bool) and p a prime, or psi_chain raises ValueError
-    before any work.
+    hands in its own: the command line hands in psi_chain_texts(p, n),
+    each shape as its text, wrapped to write each entry's JSON text as it
+    passes.  It is read once, one entry at a time: the fold keeps the
+    count, the previous entry and the violations, so memory does not grow
+    with the chain.  A violation is a pair of Partitions whatever the
+    entries carry, each read back from its shape's text (parse_shape of
+    str(shape)), so a Partition is built only for a violating pair.  The
+    two endpoint checks run the Corollary 2 closed forms, a route
+    independent of the chain's.  n must be an int (not a bool) and p a
+    prime, or psi_chain raises ValueError before any work.
     """
     if entries is None:
         entries = psi_chain(p, n)
@@ -765,7 +770,8 @@ def monotonicity_check(n: int, p: int,
     last, types, violations = first, 1, []
     for shape, value in entries:
         if last >= value:
-            violations.append((before, shape))
+            violations.append((parse_shape(str(before)),
+                               parse_shape(str(shape))))
         before, last = shape, value
         types += 1
     return MonotonicityReport(

@@ -83,7 +83,7 @@ from .psi_core import (
     parse_group_spec,
     parse_shape,
     psi_abelian,
-    psi_chain,
+    psi_chain_texts,
     type_labels,
     type_psis,
 )
@@ -346,25 +346,26 @@ def _sweep_image(args) -> int:
 
 
 def _written(entries, write):
-    """The chain's entries, unchanged, each written first as JSON text.
+    """The chain's (text, psi) entries, unchanged, each written first as JSON.
 
     The text of the record's "chain" list, opening the record: its key
     sorts first, so the record's other keys follow it.
     """
     lead = '{\n  "chain": ['
-    for shape, value in entries:
-        write(f'{lead}\n    {{\n      "psi": "{value!s}",'
-              f'\n      "shape": "{shape!s}"\n    }}')
+    for text, value in entries:
+        write(f'{lead}\n    {{\n      "psi": "{value}",'
+              f'\n      "shape": "{text}"\n    }}')
         lead = ","
-        yield shape, value
+        yield text, value
 
 
 def _sweep_monotonicity(args) -> int:
-    # The chain's JSON text is written as monotonicity_check folds it: to
-    # the report file if there is one (--json then prints that file's
-    # bytes), else to stdout under --json.  Only the fold's entry is held,
-    # so memory does not grow with the chain.  elapsed_ms, which sorts
-    # after "chain", includes that writing.
+    # The chain is read as text, each shape's text made along the walk
+    # (psi_chain_texts), and its JSON text is written as monotonicity_check
+    # folds it: to the report file if there is one (--json then prints that
+    # file's bytes), else to stdout under --json.  Only the fold's entry is
+    # held, so memory does not grow with the chain.  elapsed_ms, which
+    # sorts after "chain", includes that writing.
     path = args.checkpoint
     if path is not None:
         sink = write_text_atomic(path)
@@ -372,7 +373,7 @@ def _sweep_monotonicity(args) -> int:
         sink = nullcontext(sys.stdout.write if args.json else None)
     with sink as write:
         t0 = perf_counter()
-        entries = psi_chain(args.p, args.n)
+        entries = psi_chain_texts(args.p, args.n)
         report = monotonicity_check(
             args.n, args.p,
             entries=entries if write is None else _written(entries, write))
@@ -432,8 +433,8 @@ _PRIME = _int_type(is_prime, "a prime")
 # sweep monotonicity streams its chain, so memory stays near 16 MiB at
 # any n (ru_maxrss, CPython 3.11 on Linux); time and output grow with the
 # p(n) shapes instead, about 1.17-fold per step of n.  At n = 60 (966467
-# shapes, p = 997) a run takes about 4 s, and a --json run about 10 s for
-# 298 MB of text, on two shared cores.
+# shapes, p = 997) a fresh run takes about 3 s, and a --json run about 4 s
+# for 298 MB of text, on two shared cores.
 MAX_CHAIN_EXPONENT = 60
 _CHAIN_EXPONENT = _int_type(lambda n: 1 <= n <= MAX_CHAIN_EXPONENT,
                             f"an integer from 1 to {MAX_CHAIN_EXPONENT}")

@@ -22,8 +22,11 @@ that can grow, refill the tail with ones) and yields the list with the
 position it grew, so no padded tuple is built.  It has two consumers.
 iter_partitions turns each list into a Partition, without running the
 validating constructor on parts the walk made ascending integers.
-psi_core.psi_chain reads the grown position to update the order-sum of
-each partition from the one before it.
+psi_core._chain_steps reads the grown position to update the order-sum of
+each partition from the one before it.  Its readers give each shape as a
+Partition (psi_chain) or as its text (psi_chain_texts, the command line's
+route), which keeps one text per position and rewrites only the grown
+one, so no tuple is reversed and no shape joined.
 """
 
 from collections.abc import Iterator

@@ -19,10 +19,13 @@ a_j <= alpha < a_{j+1} (a_0 = 0) the tail exponent is linear in alpha,
 geometric sum.  band_schedule lists the bands, and every route is built
 from that one list: psi costs O(k) big-int powers whatever the size of
 the parts.  _psi_band_sum (behind _psi_prime_power, cached) evaluates the
-bands of one shape at x = p.  psi_chain, behind the monotonicity check,
-reads the same bands from the largest part down along the partition
-walk: a step changes two bands, so each shape costs O(1) big-int
-operations.  psi_symbolic in the polynomial module reads the same bands
+bands of one shape at x = p.  _chain_steps, behind the monotonicity
+check, reads the same bands from the largest part down along the
+partition walk: a step changes two bands, so each shape costs O(1)
+big-int operations.  Two readers give its steps: psi_chain as Partitions,
+and psi_chain_texts, the command line's route, as each shape's text,
+written along the walk one position at a time, so that route builds no
+Partition.  psi_symbolic in the polynomial module reads the same bands
 in Z[x].  psi_p_alt keeps the literal per-alpha sum as an independent
 reference; it stays, with the f_eval it calls, for bench/checks.py and
 the tests.
@@ -75,6 +78,7 @@ __all__ = [
     "prime_psis",
     "psi_abelian",
     "psi_chain",
+    "psi_chain_texts",
     "psi_cyclic",
     "psi_elem_abelian",
     "psi_near_elem",
@@ -186,8 +190,8 @@ def _psi_band_sum(p: int, parts: tuple[int, ...]) -> int:
     1 + p^slope + ... + p^{slope * (length - 1)}, which is
     (p^{slope * length} - 1) / (p^slope - 1), one exact_div.  Each value
     is computed cold, so nothing is shared between calls but this cache.
-    The chain of all shapes of p^n goes through psi_chain instead, which
-    shares its powers and geometric sums and leaves this cache alone.
+    The chain of all shapes of p^n goes through _chain_steps instead,
+    which shares its powers and geometric sums and leaves this cache alone.
     """
     degree, bands = band_schedule(parts)
     tail = 0
@@ -201,8 +205,8 @@ def _shared_powers(p: int, degree: int):
     """The powers p^0 ... p^degree, and a memoised geometric(slope, length).
 
     geometric(s, L) is (p^{sL} - 1) / (p^s - 1), taken by exact_div the
-    first time it is asked for, for s L <= degree.  psi_chain shares both
-    along the chain.
+    first time it is asked for, for s L <= degree.  _chain_steps shares
+    both along the chain.
     """
     powers = [1]
     for _ in range(degree):
@@ -224,11 +228,58 @@ def psi_chain(p: int, n: int) -> Iterator[tuple[Partition, int]]:
     An iterator that holds one entry at a time, so memory does not grow
     with the p(n) shapes of the chain.  p and n are checked when it is
     called, before the iterator exists: a p that is not a prime, or an n
-    that is not an int >= 1, raises ValueError at the call.
+    that is not an int >= 1, raises ValueError at the call.  The values
+    come from _chain_steps.
+    """
+    _check_prime_exponent(p, n, minimum=1)
+    return _chain_entries(p, n)
 
-    The band sum read from the largest part down.  With descending parts
-    b_1 >= ... >= b_k, S_i = b_1 + ... + b_i, b_{k+1} = 0 and
-    G(s, L) = (p^{sL} - 1) / (p^s - 1), so that G(s, 0) = 0:
+
+def psi_chain_texts(p: int, n: int) -> Iterator[tuple[str, int]]:
+    """(text, psi) of every p-group type of order p^n: psi_chain as text.
+
+    text is str(shape), e.g. "[1,1,2]", for the shape psi_chain gives at
+    the same place, and the values are the same, read from the same
+    _chain_steps; no Partition is built.  For writers of the chain, such
+    as the command line's sweep monotonicity.  p and n are checked at the
+    call, as psi_chain checks them.
+    """
+    _check_prime_exponent(p, n, minimum=1)
+    return _chain_texts(p, n)
+
+
+def _chain_entries(p: int, n: int) -> Iterator[tuple[Partition, int]]:
+    unchecked = Partition._unchecked
+    for desc, _, value in _chain_steps(p, n):
+        yield unchecked(tuple(desc[::-1])), value
+
+
+def _chain_texts(p: int, n: int) -> Iterator[tuple[str, int]]:
+    # A shape's text is "[" and r ones, then its head desc[j] ... desc[0]
+    # and "]".  tail[j], the head's text, is written when the step grows
+    # desc[j], from tail[j - 1], which is still current, as head[] is in
+    # _chain_steps.
+    ones = ["[" + "1," * r for r in range(n)]
+    tail = [""] * n
+    steps = _chain_steps(p, n)
+    _, _, value = next(steps)
+    yield ones[n - 1] + "1]", value
+    for desc, j, value in steps:
+        if j:
+            text = tail[j] = f"{desc[j]},{tail[j - 1]}"
+        else:
+            text = tail[0] = f"{desc[0]}]"
+        yield ones[len(desc) - j - 1] + text, value
+
+
+def _chain_steps(p: int, n: int) -> Iterator[tuple[list[int], int | None, int]]:
+    """Yield (desc, j, psi) along _walk(n): the walk's state and its value.
+
+    desc and j are as _walk gives them, desc changed in place between
+    steps.  The band sum is read from the largest part down.  With
+    descending parts b_1 >= ... >= b_k, S_i = b_1 + ... + b_i,
+    b_{k+1} = 0 and G(s, L) = (p^{sL} - 1) / (p^s - 1), so that
+    G(s, 0) = 0:
 
         psi = p^{n + b_1} - (p - 1) * (T_1 + ... + T_k),
         T_i = p^{(i + 1) b_{i+1} + n - S_i} * G(i + 1, b_i - b_{i+1}),
@@ -242,22 +293,16 @@ def psi_chain(p: int, n: int) -> Iterator[tuple[Partition, int]]:
     powers and the G(s, L) come from _shared_powers, built once for the
     chain; the _psi_band_sum cache is left alone.
     """
-    _check_prime_exponent(p, n, minimum=1)
-    return _chain_entries(p, n)
-
-
-def _chain_entries(p: int, n: int) -> Iterator[tuple[Partition, int]]:
     powers, geometric = _shared_powers(p, 2 * n)
-    unchecked = Partition._unchecked
     walk = _walk(n)
-    next(walk)
+    desc, _ = next(walk)
     # The step grows desc[j], part J = j + 1, after r ones refill the tail.
     # head[i] = T_1 + ... + T_i, written when the step grows desc[i]; a
     # step after one at j grows at most j + 1, so it reads only entries
     # still current.  The all-ones start has one term, T_n = 1.
     head = [0] * n
     p1 = p - 1
-    yield unchecked((1,) * n), powers[n + 1] - p1
+    yield desc, None, powers[n + 1] - p1
     for desc, j in walk:
         b = desc[j]
         r = len(desc) - j - 1  # n - S_J
@@ -270,7 +315,7 @@ def _chain_entries(p: int, n: int) -> Iterator[tuple[Partition, int]]:
             done += powers[j + 2 + r] * geometric(j + 2, b - 1) + 1
         else:  # T_J is the last term
             done += geometric(j + 2, b)
-        yield unchecked(tuple(desc[::-1])), powers[n + desc[0]] - p1 * done
+        yield desc, j, powers[n + desc[0]] - p1 * done
 
 
 def psi_p(group: PGroupType) -> int:

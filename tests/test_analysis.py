@@ -30,7 +30,7 @@ from ordersum.analysis import (
     scan_orders,
 )
 from ordersum.arith import factorize, smallest_prime_factors
-from ordersum.partitions import partitions_of
+from ordersum.partitions import Partition, partitions_of
 from ordersum.oracle import psi_bruteforce
 from ordersum.psi_core import (component_moduli, format_group_spec,
                                group_type_of_order, parse_group_spec,
@@ -88,6 +88,20 @@ def test_monotonicity_folds_a_handed_in_chain():
     chain[-1] = (chain[-1][0], chain[-1][1] - 2)
     report = monotonicity_check(5, 2, entries=chain)
     assert not report.last_matches_cyclic_formula
+
+
+def test_monotonicity_reports_partitions_for_a_dip_in_either_chain():
+    # A dip handed in as Partitions or as their texts is reported as the
+    # same pair of Partitions.
+    chain = list(psi_chain(3, 6))
+    chain[4], chain[5] = chain[5], chain[4]
+    texts = [(str(shape), value) for shape, value in chain]
+    for entries in (chain, texts):
+        report = monotonicity_check(6, 3, entries=iter(entries))
+        assert report.violations == ((chain[4][0], chain[5][0]),)
+        assert all(type(shape) is Partition
+                   for pair in report.violations for shape in pair)
+    assert report == monotonicity_check(6, 3, entries=chain)
 
 
 def test_monotonicity_rejects_bad_input():

@@ -17,6 +17,7 @@ import ordersum.polynomial as polynomial
 import ordersum.psi_core as psi_core
 from ordersum.arith import ExactDivisionError
 from ordersum.analysis import CHECKPOINT_VERSION
+from ordersum.partitions import Partition
 from ordersum.psi_core import (group_type_of_order, parse_group_spec,
                                psi_abelian, psi_chain, psi_cyclic,
                                psi_elem_abelian, psi_p_alt)
@@ -1117,7 +1118,9 @@ def test_streamed_chain_reports_its_violations(capsys, tmp_path, monkeypatch):
     forged = list(psi_chain(3, 6))
     forged[4], forged[5] = forged[5], forged[4]
     forged[-1] = (forged[-1][0], forged[-1][1] + 2)
-    monkeypatch.setattr(cli, "psi_chain", lambda p, n: iter(forged))
+    # The command line reads the chain as text (psi_chain_texts).
+    monkeypatch.setattr(cli, "psi_chain_texts",
+                        lambda p, n: iter([(str(s), v) for s, v in forged]))
     path = tmp_path / "chain.json"
     code, out, _ = run(capsys, "sweep", "monotonicity", "--n", "6",
                        "--p", "3", "--json", "--checkpoint", str(path))
@@ -1130,6 +1133,35 @@ def test_streamed_chain_reports_its_violations(capsys, tmp_path, monkeypatch):
     assert code == 1
     assert (f"  violation: psi({forged[4][0]}) >= psi({forged[5][0]})"
             in out.splitlines())
+
+
+@pytest.mark.parametrize("p", [2, 3, 997])
+def test_the_command_line_reads_the_chain_as_its_shapes_texts(p):
+    # One recurrence, two readers: n = 1 is the all-ones start alone, and
+    # n = 2 adds the first step, which grows position 0.
+    for n in range(1, 21):
+        assert list(cli.psi_chain_texts(p, n)) == [
+            (str(shape), value) for shape, value in psi_chain(p, n)], n
+
+
+def test_the_command_line_chain_builds_a_partition_only_for_a_violation(
+        capsys, monkeypatch):
+    built = []
+    unchecked = Partition._unchecked.__func__
+
+    def counted(cls, *values):
+        built.append(values)
+        return unchecked(cls, *values)
+    monkeypatch.setattr(Partition, "_unchecked", classmethod(counted))
+    for flags in ([], ["--json"]):
+        code, _, _ = run(capsys, "sweep", "monotonicity", "--n", "12",
+                         "--p", "3", *flags)
+        assert (code, built) == (0, []), flags
+    forged = list(cli.psi_chain_texts(3, 6))
+    forged[4], forged[5] = forged[5], forged[4]
+    monkeypatch.setattr(cli, "psi_chain_texts", lambda p, n: iter(forged))
+    code, _, _ = run(capsys, "sweep", "monotonicity", "--n", "6", "--p", "3")
+    assert (code, len(built)) == (1, 2)
 
 
 def _json_request_peak(n: int) -> int:

@@ -23,6 +23,7 @@ from ordersum.psi_core import (
     parse_shape,
     psi_abelian,
     psi_chain,
+    psi_chain_texts,
     psi_cyclic,
     psi_elem_abelian,
     psi_near_elem,
@@ -465,6 +466,19 @@ def test_psi_chain_leaves_the_band_sum_cache_alone():
     assert psi_core._psi_band_sum.cache_info().currsize == before
 
 
+def test_both_chain_readers_read_the_one_step_generator(monkeypatch):
+    steps = psi_core._chain_steps
+
+    def shifted(p, n):
+        for desc, j, value in steps(p, n):
+            yield desc, j, value + 2
+    monkeypatch.setattr(psi_core, "_chain_steps", shifted)
+    shapes = partitions_of(7)
+    values = [psi_p(PGroupType(5, s)) + 2 for s in shapes]
+    assert list(psi_chain(5, 7)) == list(zip(shapes, values))
+    assert list(psi_chain_texts(5, 7)) == list(zip(map(str, shapes), values))
+
+
 def test_the_walk_builds_no_validated_partition(monkeypatch):
     def check(self):
         raise AssertionError("validated a partition the walk made")
@@ -548,6 +562,8 @@ def test_psi_chain_refuses_bad_input_before_any_work(p, n, monkeypatch):
     monkeypatch.setattr(psi_core, "_walk", work)
     with pytest.raises(ValueError):
         psi_chain(p, n)
+    with pytest.raises(ValueError):
+        psi_chain_texts(p, n)
 
 
 @pytest.mark.parametrize("call", [

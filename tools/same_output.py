@@ -28,7 +28,8 @@ from pathlib import Path
 # Every subcommand and every sweep kind: text and --json, a checkpoint run
 # and its resume, a resume whose --to is below the watermark, --workers 2
 # and 3 (lanes of unequal length, and a 2-worker resume), report files,
-# usage errors, the cap below, at and above a group's order, the oracle's
+# the monotonicity chain from its one-entry end (n = 1) up, usage
+# errors, the cap below, at and above a group's order, the oracle's
 # divisor count on a cyclic 2-group, a 192-divisor exponent, the trivial
 # and proper subgroups of many-prime groups and subgroups walked from two
 # and three generators, and orders with prime factors past 10**6 for trial
@@ -94,6 +95,10 @@ COMMANDS = [
     ["sweep", "monotonicity", "--n", "12", "--p", "4"],
     ["sweep", "monotonicity", "--n", "30", "--p", "997", "--json"],
     ["sweep", "monotonicity", "--n", "50", "--p", "2", "--json"],
+    ["sweep", "monotonicity", "--n", "1", "--p", "2", "--json"],
+    ["sweep", "monotonicity", "--n", "2", "--p", "3"],
+    ["sweep", "monotonicity", "--n", "20", "--p", "997", "--checkpoint",
+     "chain20.json"],
     ["sweep", "image", "--from", "2", "--to", "10"],
     [],
     ["sweep", "divisibility", "--from", "1105000", "--to", "1110000", "--json"],
