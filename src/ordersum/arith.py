@@ -16,6 +16,12 @@ __all__ = [
     "smallest_prime_factors",
 ]
 
+# The oracle's default cap on the group order it enumerates, exported by
+# the oracle.  It is defined here, where the oracle reads it, so that the
+# command line's parser gives it as the --max-enum default without
+# importing the oracle.
+DEFAULT_ENUM_CAP = 1 << 20
+
 
 class ExactDivisionError(ArithmeticError):
     """A division that must be exact left a nonzero remainder."""

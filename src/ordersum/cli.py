@@ -44,6 +44,14 @@ divisibility sweep whose --checkpoint PATH has been written "interrupted;
 in-process main() caller gets the KeyboardInterrupt.
 Large group-theoretic values appear in JSON output as exact decimal
 strings so nothing is ever rounded.
+
+Every call is a fresh process, so a command imports only the layers it
+runs: psi_core and arith for every command, persistence (the JSON text,
+the file writer, the checkpoint codec and the sweep errors main() maps to
+exit codes), and, inside the handlers that call them, oracle (compute
+--verify, relative), polynomial (poly) and analysis (sweep).  The
+--max-enum default, DEFAULT_ENUM_CAP, is read from arith, where it is
+defined; the oracle exports it.
 """
 
 import argparse
@@ -54,27 +62,21 @@ from contextlib import nullcontext
 from functools import cache
 from time import perf_counter
 
-from .arith import ExactDivisionError, exact_div, factorize, is_prime
-from .analysis import (
+from .arith import (
+    DEFAULT_ENUM_CAP,
+    ExactDivisionError,
+    exact_div,
+    factorize,
+    is_prime,
+)
+from .persistence import (
     CheckpointError,
     SoundnessError,
-    SweepCheckpoint,
     WorkerError,
-    conjecture_sweep,
-    image_probe,
     json_text,
     load_checkpoint,
-    monotonicity_check,
     write_text_atomic,
 )
-from .oracle import (
-    DEFAULT_ENUM_CAP,
-    EnumerationCapError,
-    psi_bruteforce,
-    psi_relative,
-    subgroup_closure,
-)
-from .polynomial import verify_closed_form
 from .psi_core import (
     GroupSpecError,
     component_moduli,
@@ -140,9 +142,13 @@ def cmd_compute(args) -> int:
     ]
     code = EXIT_OK
     if args.verify:
+        from .oracle import psi_bruteforce
         moduli = component_moduli(group)
         t0 = perf_counter()
-        brute = psi_bruteforce(moduli, max_enum=args.max_enum)
+        try:
+            brute = psi_bruteforce(moduli, max_enum=args.max_enum)
+        except ValueError as exc:  # the cap (EnumerationCapError)
+            raise UsageError(str(exc)) from None
         brute_ms = _elapsed_ms(t0)
         match = brute == value
         record["verify"] = {
@@ -182,6 +188,7 @@ def cmd_list(args) -> int:
 
 
 def cmd_poly(args) -> int:
+    from .polynomial import verify_closed_form
     shape = parse_shape(args.shape)
     t0 = perf_counter()
     report = verify_closed_form(shape)
@@ -212,6 +219,7 @@ def cmd_poly(args) -> int:
 
 
 def cmd_relative(args) -> int:
+    from .oracle import psi_relative, subgroup_closure
     group = parse_group_spec(args.spec)
     moduli = component_moduli(group)
     gens = args.gen or []
@@ -249,6 +257,7 @@ def cmd_relative(args) -> int:
 
 
 def _sweep_counting(args) -> int:
+    from .analysis import conjecture_sweep
     kind, start, workers = args.kind, args.from_, args.workers
     if args.to < start:
         raise UsageError(f"need --from <= --to, got [{start}, {args.to}]")
@@ -310,6 +319,7 @@ def _sweep_counting(args) -> int:
 
 
 def _sweep_image(args) -> int:
+    from .analysis import image_probe
     t0 = perf_counter()
     report = image_probe(args.to, workers=args.workers)
     elapsed = _elapsed_ms(t0)
@@ -366,6 +376,7 @@ def _sweep_monotonicity(args) -> int:
     # file's bytes), else to stdout under --json.  Only the fold's entry is
     # held, so memory does not grow with the chain.  elapsed_ms, which
     # sorts after "chain", includes that writing.
+    from .analysis import monotonicity_check
     path = args.checkpoint
     if path is not None:
         sink = write_text_atomic(path)
@@ -555,8 +566,7 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         return args.handler(args)
-    except (UsageError, GroupSpecError, CheckpointError,
-            EnumerationCapError) as exc:
+    except (UsageError, GroupSpecError, CheckpointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (SoundnessError, WorkerError, AssertionError,

@@ -21,10 +21,12 @@ rule over the trivial subgroup, where c(e) = |G[e]|.  H is still
 enumerated, by subgroup_closure and by psi_relative's tally.  The module
 is deliberately independent of the formula modules: no totient, no
 partitions, no p-group types, no closed forms of psi.  The only import
-from the package is arith's integer factorization, which lists the
+from the package is arith: its integer factorization, which lists the
 primes of an element order for relative_order and the divisors of the
-exponent, with their weights, for psi_relative.  The formula side is
-tested against this module, never the other way round.
+exponent, with their weights, for psi_relative, and DEFAULT_ENUM_CAP,
+the default max_enum, which this module exports but arith defines, so
+that the command line reads it without importing this module.  The
+formula side is tested against this module, never the other way round.
 
 Every entry that walks or counts a group, subgroup_closure and both
 order-sums, refuses a group of more than max_enum elements (default
@@ -39,7 +41,7 @@ from itertools import repeat
 from math import gcd, lcm, prod
 from operator import mod
 
-from .arith import factorize
+from .arith import DEFAULT_ENUM_CAP, factorize
 
 __all__ = [
     "DEFAULT_ENUM_CAP",
@@ -51,8 +53,6 @@ __all__ = [
     "relative_order",
     "subgroup_closure",
 ]
-
-DEFAULT_ENUM_CAP = 1 << 20
 
 
 class EnumerationCapError(ValueError):

@@ -83,29 +83,37 @@ def _walk(n: int) -> Iterator[tuple[list[int], int | None]]:
     desc is the partition's descending parts, one list changed in place
     between steps, so a consumer reads it before asking for the next.  j
     is the position the step grew, None at the all-ones start.  The step:
-    scan back from the end for the last part that is smaller than the
-    part before it (or is the first part) and has at least one part after
-    it.  Add one to that part, take the unit from the parts after it, and
-    write what is left of them as ones.  The walk ends at (n,), where no
-    such part is left.
+    grow the last part that is smaller than the part before it (or is the
+    first part) and has at least one part after it.  Add one to that part,
+    take the unit from the parts after it, and write what is left of them
+    as ones.  The walk ends at (n,), where no such part is left.  The step
+    keeps the count of the ones it wrote: where there are two or more, the
+    part to grow is the first of them, found without a scan; else it scans
+    back from the end, over parts of 2 or more.
     """
     if isinstance(n, bool) or not isinstance(n, int):
         raise ValueError(f"n must be an int, got {n!r}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     desc = [1] * n
+    ones = n  # the trailing ones of desc
     yield desc, None
     while True:
-        suffix = desc[-1]
-        for j in range(len(desc) - 2, -1, -1):
-            a = desc[j]
-            suffix += a
-            if j == 0 or desc[j - 1] > a:
-                break
+        if ones > 1:
+            j = len(desc) - ones
+            a, suffix = 1, ones
         else:
-            return
+            suffix = desc[-1]
+            for j in range(len(desc) - 2, -1, -1):
+                a = desc[j]
+                suffix += a
+                if j == 0 or desc[j - 1] > a:
+                    break
+            else:
+                return
         desc[j] = a + 1
-        desc[j + 1:] = [1] * (suffix - a - 1)
+        ones = suffix - a - 1
+        desc[j + 1:] = [1] * ones
         yield desc, j
 
 

@@ -416,6 +416,16 @@ def test_checkpoint_big_values_are_strings(tmp_path):
     assert isinstance(hit["order"], int)
 
 
+class _Count(int):
+    def __repr__(self) -> str:
+        return "Count"  # json.dumps writes the int, not this
+
+
+class _Ms(float):
+    def __repr__(self) -> str:
+        return "Ms"
+
+
 JSON_CORPUS = [
     {},
     {"empty dict": {}, "empty list": [], "empty tuple": ()},
@@ -428,6 +438,7 @@ JSON_CORPUS = [
     {"floats": [-0.0, 0.0, 1e300, -1e-300, 0.1, 2.5, float("inf"),
                 float("-inf"), float("nan")], "elapsed_ms": 12.345},
     {"Z": 1, "a": 2, "B": 3, "é": 4, "aa": 5, "a a": 6, "10": 7, "9": 8},
+    {"subclasses": [_Count(7), _Ms(2.5), _Ms(float("nan"))]},
 ]
 
 
@@ -608,6 +619,32 @@ def test_package_exports_every_module_name():
             assert getattr(ordersum, name) is getattr(module, name), name
     # gcd and lcm are math's own functions, not the package's.
     assert not {"gcd", "lcm"} & set(ordersum.__all__)
+
+
+def test_the_package_imports_a_module_when_one_of_its_names_is_asked_for():
+    import ordersum
+    from ordersum import arith, oracle, partitions, polynomial
+
+    assert ordersum.__all__ == [
+        *analysis.__all__, *arith.__all__, *oracle.__all__,
+        *partitions.__all__, *polynomial.__all__, *psi_core.__all__,
+        "__version__"]
+    proc = run_python(
+        "import sys, ordersum\n"
+        "def loaded():\n"
+        "    print(*sorted(m for m in sys.modules if m.startswith('ordersum.')))\n"
+        "loaded()\n"
+        "ordersum.psi_abelian\n"
+        "loaded()\n"
+        "from ordersum import *\n"
+        "loaded()\n")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "",
+        "ordersum._record ordersum.arith ordersum.partitions ordersum.psi_core",
+        "ordersum._record ordersum.analysis ordersum.arith ordersum.oracle "
+        "ordersum.partitions ordersum.persistence ordersum.polynomial "
+        "ordersum.psi_core"]
 
 
 @pytest.mark.parametrize("workers", [0, -1])

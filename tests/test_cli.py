@@ -13,6 +13,7 @@ import pytest
 import ordersum.analysis as analysis
 import ordersum.cli as cli
 import ordersum.oracle as oracle
+import ordersum.persistence as persistence
 import ordersum.polynomial as polynomial
 import ordersum.psi_core as psi_core
 from ordersum.arith import ExactDivisionError
@@ -79,7 +80,7 @@ def test_compute_verify_ok(capsys):
 
 
 def test_compute_verify_mismatch(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "psi_bruteforce", lambda moduli, max_enum: 999)
+    monkeypatch.setattr(oracle, "psi_bruteforce", lambda moduli, max_enum: 999)
     code, record, _ = run_json(capsys, "compute", "5", "--verify")
     assert code == 1
     assert record["verify"]["match"] is False
@@ -332,7 +333,7 @@ def test_monotonicity_exponent_is_bounded(capsys, monkeypatch):
     def chain(n, p, entries):
         seen.append(n)
         raise cli.UsageError("stopped before enumerating")
-    monkeypatch.setattr(cli, "monotonicity_check", chain)
+    monkeypatch.setattr(analysis, "monotonicity_check", chain)
     code, out, err = run(capsys, "sweep", "monotonicity", "--n", "61",
                          "--p", "2")
     assert (code, out, seen) == (2, "", [])
@@ -846,7 +847,7 @@ def test_relative_checks_the_cap_before_the_closure(capsys, monkeypatch):
 
 
 def test_relative_inexact_average_is_internal(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "psi_relative", lambda moduli, sub, max_enum: 7)
+    monkeypatch.setattr(oracle, "psi_relative", lambda moduli, sub, max_enum: 7)
     code, out, err = run(capsys, "relative", "2^[2]", "--gen", "2")
     assert code == 3
     assert out == ""
@@ -860,6 +861,38 @@ def test_cli_import_leaves_multiprocessing_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+@pytest.mark.parametrize("argv, layers", [
+    (["compute", "2^[1,2]*3"], set()),
+    (["list", "36"], set()),
+    (["poly", "[1,2]"], {"polynomial"}),
+    (["compute", "2^[1,2]*3", "--verify"], {"oracle"}),
+    (["relative", "2^[1,2]", "--gen", "1,2"], {"oracle"}),
+    (["sweep", "divisibility", "--to", "100"], {"analysis"}),
+    (["sweep", "monotonicity", "--n", "5", "--p", "2"], {"analysis"}),
+], ids=" ".join)
+def test_each_command_loads_only_its_layers(monkeypatch, argv, layers):
+    # A fresh call without bytecode files compiles every module it
+    # imports, so a command imports a layer only if its handler runs it,
+    # and json, whose import compiles its regular expressions, only to
+    # read a checkpoint.  Without the site module (-S), no site hook
+    # imports a module first.
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    proc = run_python(
+        "import runpy, sys\n"
+        f"sys.argv = ['ordersum', *{argv!r}]\n"
+        "try:\n"
+        "    runpy.run_module('ordersum.cli', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    print(exc.code, *sorted(sys.modules))\n", "-S")
+    assert proc.returncode == 0, proc.stderr
+    code, *loaded = proc.stdout.splitlines()[-1].split()
+    assert code == "0"
+    assert {"ordersum.psi_core", "ordersum.persistence"} <= set(loaded)
+    assert "json" not in loaded
+    assert {f"ordersum.{layer}" for layer in layers} == set(loaded) & {
+        "ordersum.analysis", "ordersum.oracle", "ordersum.polynomial"}
+
+
 def test_ctrl_c_reaches_an_in_process_caller_with_the_resume_note(tmp_path):
     # Only entry(), the program, turns Ctrl-C into one line and a death by
     # SIGINT; main() raises it on, and nothing imports signal.  The note
@@ -869,12 +902,12 @@ def test_ctrl_c_reaches_an_in_process_caller_with_the_resume_note(tmp_path):
     present = tmp_path / "present.json"
     proc = run_python(
         "import sys\n"
-        "from ordersum import cli\n"
+        "from ordersum import analysis, cli\n"
         "def stop(*args, checkpoint_path=None, **kwargs):\n"
         f"    if checkpoint_path == {str(present)!r}:\n"
         "        open(checkpoint_path, 'w').close()  # its first block ended\n"
         "    raise KeyboardInterrupt\n"
-        "cli.conjecture_sweep = cli.psi_abelian = stop\n"
+        "analysis.conjecture_sweep = cli.psi_abelian = stop\n"
         "for argv in (['sweep', 'divisibility', '--to', '9',\n"
         f"              '--checkpoint', {str(absent)!r}],\n"
         "             ['sweep', 'conjecture', '--to', '9',\n"
@@ -1020,12 +1053,12 @@ def test_report_file_is_the_json_output(capsys, tmp_path, argv):
 def test_report_file_and_json_output_are_one_text(capsys, tmp_path,
                                                    monkeypatch, argv):
     calls = []
-    json_text = analysis.json_text
+    json_text = persistence.json_text
 
     def counted(record):
         calls.append(record)
         return json_text(record)
-    monkeypatch.setattr(analysis, "json_text", counted)
+    monkeypatch.setattr(persistence, "json_text", counted)
     monkeypatch.setattr(cli, "json_text", counted)
     path = tmp_path / "report.json"
     code, _, _ = run(capsys, *argv, "--json", "--checkpoint", str(path))
@@ -1208,7 +1241,7 @@ def test_failed_report_write_leaves_no_file(capsys, tmp_path, monkeypatch):
         def __exit__(self, *exc):
             self.fh.close()
 
-    monkeypatch.setattr(analysis, "open", Full, raising=False)
+    monkeypatch.setattr(persistence, "open", Full, raising=False)
     fresh, kept = tmp_path / "fresh.json", tmp_path / "kept.json"
     kept.write_text("old report\n", encoding="utf-8")
     for path in (fresh, kept):

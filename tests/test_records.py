@@ -10,7 +10,7 @@ import pickle
 
 import pytest
 
-from ordersum import analysis
+from ordersum import persistence
 from ordersum._record import FrozenRecord
 from ordersum.analysis import (
     CollisionRecord,
@@ -253,10 +253,10 @@ def test_a_record_declared_by_annotations_alone_has_those_fields():
             Sighting(*bad)
     # The checkpoint codec reads the same list: it writes the fields in
     # order, psi as a decimal string, and reads them back.
-    written = analysis._write_json([record], list[Sighting])
+    written = persistence._write_json([record], list[Sighting])
     assert written == [{"order": 12, "psi": "77", "group": "2^[2]*3"}]
     assert list(written[0]) == ["order", "psi", "group"]
-    assert analysis._read_json(written, list[Sighting], "root") == [record]
+    assert persistence._read_json(written, list[Sighting], "root") == [record]
 
 
 def test_frozen_records_need_every_field():

@@ -36,11 +36,14 @@ from pathlib import Path
 
 COMMANDS = {
     "compute": ["compute", "587^[3,5]*223823^[5]", "--json"],
+    "verify": ["compute", "13^[1,1]*23", "--verify", "--json"],
     "list": ["list", "907314539417097076579092601", "--json"],
     "poly": ["poly", "[45,64]", "--json"],
     "relative": ["relative", "2*13^[2]", "--gen", "0,82", "--json"],
     "sweep": ["sweep", "divisibility", "--from", "11633", "--to", "11832",
               "--json"],
+    "monotonicity": ["sweep", "monotonicity", "--n", "12", "--p", "3",
+                     "--json"],
 }
 IMPORT = ("import time; t = time.perf_counter(); import ordersum.cli; "
           "print((time.perf_counter() - t) * 1000)")
